@@ -719,15 +719,21 @@ let profile_cmd =
              no timing fields) instead of the human tree.")
   in
   let run model_path constraint_path tiling json trace =
-    wrap (fun () ->
+    wrap ?trace (fun () ->
         Db_obs.Obs.set_enabled true;
         Db_obs.Obs.reset ();
         let design = load ~model_path ~constraint_path ~tiling in
         let report = Db_sim.Simulator.timing design in
+        (* Watchdog budget sized from the closed-form trace length:
+           paper-scale nets replay hundreds of millions of control
+           cycles. *)
+        let compiled = Db_sim.Specialize.of_design design in
         ignore
-          (Db_sim.Simulator.replay_control ~cycle_budget:10_000_000 design);
+          (Db_sim.Specialize.replay_control
+             ~cycle_budget:
+               ((2 * Db_sim.Specialize.control_cycles compiled) + 1_000)
+             compiled);
         let snap = Db_obs.Obs.snapshot () in
-        Option.iter (fun path -> write_trace path snap) trace;
         if json then print_string (Db_obs.Render.stable_json snap)
         else begin
           print_string (Db_obs.Render.text snap);

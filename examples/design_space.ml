@@ -65,25 +65,21 @@ let () =
        ~headers:[ "preset"; "device"; "latency"; "energy"; "DSP"; "LUT" ]
        ~rows:preset_rows);
 
-  (* The explorer condenses the sweep into the decision a designer makes. *)
-  let points =
-    Db_sim.Explorer.sweep_lanes Db_core.Constraints.db_medium
-      bench.Benchmarks.network ~lanes:[ 1; 2; 4; 8; 16 ]
+  (* The multi-objective explorer condenses the sweep (lanes, format, LUT
+     size, buffering, tiling, protection) into the latency/area front a
+     designer chooses from. *)
+  let config =
+    {
+      Db_dse.Explore.default_config with
+      budget = 16;
+      axes = Db_core.Objective.[ Latency_s; Luts ];
+    }
   in
-  let frontier = Db_sim.Explorer.pareto points in
-  Printf.printf "\nPareto frontier (latency vs LUTs): %s\n"
-    (String.concat ", "
-       (List.map
-          (fun p ->
-            Printf.sprintf "%d lanes (%s, %d LUTs)" p.Db_sim.Explorer.pt_lanes
-              (Db_report.Table.ms p.Db_sim.Explorer.pt_seconds)
-              p.Db_sim.Explorer.pt_resources.Resource.luts)
-          frontier));
-  (match Db_sim.Explorer.best_under_budget points with
-  | Some best ->
-      Printf.printf "fastest point inside the DB budget: %d lanes\n"
-        best.Db_sim.Explorer.pt_lanes
-  | None -> print_endline "no point fits the DB budget");
+  print_newline ();
+  print_string
+    (Db_dse.Explore.render_text
+       (Db_dse.Explore.explore ~config Db_core.Constraints.db_medium
+          bench.Benchmarks.network));
 
   print_endline
     "\nNN-Gen picks the widest datapath that fits each budget; the sweep\n\

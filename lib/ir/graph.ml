@@ -1,7 +1,7 @@
 (* The typed accelerator IR: a topologically ordered list of nodes whose
    attributes (shapes, parameter shapes, quantization format, costs) are
    computed once at lowering/annotation time.  Downstream consumers read
-   these attributes instead of re-deriving them from [Db_nn.Layer.t]. *)
+   these attributes instead of re-deriving them from the op. *)
 
 module Shape = Db_tensor.Shape
 

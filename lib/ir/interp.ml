@@ -1,24 +1,12 @@
-(* Float-domain execution of an IR graph.  Per-op semantics reuse
-   [Db_nn.Interpreter.eval_layer] through [Op.to_layer]; a fused
-   activation is applied to the base op's result exactly as the
-   standalone activation node would, so pass pipelines can be checked
-   semantics-preserving against the frontend interpreter. *)
+(* Float-domain execution of an IR graph.  Per-op semantics, including a
+   fused activation, are [Db_nn.Interpreter.eval_layer]'s, so pass
+   pipelines can be checked semantics-preserving against the frontend
+   interpreter. *)
 
 module Tensor = Db_tensor.Tensor
 module Shape = Db_tensor.Shape
 
 let fail fmt = Db_util.Error.failf_at ~component:"ir-interp" fmt
-
-let eval_node (n : Graph.node) ~params ~bottoms =
-  let out =
-    Db_nn.Interpreter.eval_layer (Op.to_layer n.Graph.op) ~params ~bottoms
-  in
-  match Op.fused_activation n.Graph.op with
-  | Some act ->
-      Db_nn.Interpreter.eval_layer
-        (Db_nn.Layer.Activation (Op.activation_to_layer act))
-        ~params:[] ~bottoms:[ out ]
-  | None -> out
 
 let forward (g : Graph.t) params ~inputs =
   let env : (string, Tensor.t) Hashtbl.t = Hashtbl.create 64 in
@@ -48,7 +36,7 @@ let forward (g : Graph.t) params ~inputs =
         | _ ->
             let bottoms = List.map blob n.Graph.inputs in
             let params = Db_nn.Params.get params n.Graph.node_name in
-            eval_node n ~params ~bottoms
+            Db_nn.Interpreter.eval_layer n.Graph.op ~params ~bottoms
       in
       List.iter
         (fun top ->

@@ -1,7 +1,8 @@
 (* Lowering [Db_nn.Network.t] into the IR.  The network is already
-   topologically sorted and validated by [Network.create]; lowering maps
-   each node to an [Op.t] and computes its attributes exactly once.  Pass
-   [~fmt] to stamp the datapath quantization format on every node. *)
+   topologically sorted and validated by [Network.create] (so carries no
+   fused or training op); lowering wraps each node's op in a [Graph.node]
+   and computes its attributes exactly once.  Pass [~fmt] to stamp the
+   datapath quantization format on every node. *)
 
 let lower ?fmt (net : Db_nn.Network.t) : Graph.t =
   let nodes =
@@ -10,7 +11,7 @@ let lower ?fmt (net : Db_nn.Network.t) : Graph.t =
         {
           Graph.id = 0;
           node_name = n.Db_nn.Network.node_name;
-          op = Op.of_layer n.Db_nn.Network.layer;
+          op = n.Db_nn.Network.layer;
           inputs = n.Db_nn.Network.bottoms;
           outputs = n.Db_nn.Network.tops;
           in_shapes = [];
@@ -26,8 +27,8 @@ let lower ?fmt (net : Db_nn.Network.t) : Graph.t =
 
 let fail fmt = Db_util.Error.failf_at ~component:"ir-lower" fmt
 
-(* Ops the derived BP subgraph knows how to differentiate — the IR-side
-   mirror of [Db_train.Backprop.supported]. *)
+(* Ops the derived BP subgraph and [Db_train.Backprop] know how to
+   differentiate. *)
 let differentiable = function
   | Op.Conv _ | Op.Pool _ | Op.Global_pool _ | Op.Fc _ | Op.Act _
   | Op.Dropout _ | Op.Softmax | Op.Associative _ | Op.Lrn _ ->
@@ -69,14 +70,6 @@ let placeholder ~node_name ~op ~inputs ~outputs =
 let lower_training ?fmt (net : Db_nn.Network.t) : Graph.t =
   let g = lower ?fmt net in
   let nodes = g.Graph.nodes in
-  Graph.iter g (fun n ->
-      match Op.fused_activation n.Graph.op with
-      | Some act ->
-          fail
-            "node %S carries a fused %s: training lowering requires the raw \
-             (no-fusion) graph"
-            n.Graph.node_name (Op.activation_name act)
-      | None -> ());
   let input_blobs = Hashtbl.create 4 in
   List.iter
     (fun (n : Graph.node) ->

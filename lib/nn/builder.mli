@@ -54,8 +54,5 @@ val associative : ?active_cells:int -> cells_per_dim:int -> t -> t
 
 val classifier : top_k:int -> t -> t
 
-val layer : Layer.t -> t -> t
-(** Append any layer (escape hatch for new classes). *)
-
 val build : name:string -> t -> Network.t
 (** Validates via {!Network.create}. *)

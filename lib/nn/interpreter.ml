@@ -93,71 +93,80 @@ let lcn ~window ~epsilon input =
   done;
   out
 
+let activate act input =
+  match act with
+  | Layer.Relu -> Ops.relu input
+  | Layer.Sigmoid -> Ops.sigmoid input
+  | Layer.Tanh -> Ops.tanh_act input
+  | Layer.Sign -> Tensor.map (fun x -> if x >= 0.0 then 1.0 else -1.0) input
+
 let eval_layer layer ~params ~bottoms =
   let one () =
     match bottoms with
     | [ b ] -> b
     | _ -> fail "layer %s expects one bottom" (Layer.name layer)
   in
-  match layer with
-  | Layer.Input _ -> fail "input layers are not evaluated"
-  | Layer.Convolution { stride; pad; group; bias = has_bias; _ } -> begin
-      match params, has_bias with
-      | [ w ], false ->
-          Ops.conv2d ~input:(one ()) ~weights:w ~bias:None ~stride
-            ~padding:(Ops.symmetric_padding pad) ~group
-      | [ w; b ], true ->
-          Ops.conv2d ~input:(one ()) ~weights:w ~bias:(Some b) ~stride
-            ~padding:(Ops.symmetric_padding pad) ~group
-      | _ -> fail "convolution: wrong parameter tensors"
-    end
-  | Layer.Pooling { method_ = Layer.Max; kernel_size; stride } ->
-      Ops.max_pool ~input:(one ()) ~kernel:kernel_size ~stride
-  | Layer.Pooling { method_ = Layer.Average; kernel_size; stride } ->
-      Ops.avg_pool ~input:(one ()) ~kernel:kernel_size ~stride
-  | Layer.Global_pooling Layer.Average -> Ops.global_avg_pool ~input:(one ())
-  | Layer.Global_pooling Layer.Max ->
-      let input = one () in
-      let c = Shape.channels (Tensor.shape input) in
-      let hw = Tensor.numel input / c in
-      Tensor.init (Shape.vector c) (fun ch ->
-          let best = ref neg_infinity in
-          for i = 0 to hw - 1 do
-            best := Float.max !best (Tensor.get input ((ch * hw) + i))
-          done;
-          !best)
-  | Layer.Inner_product { bias = has_bias; _ } -> begin
-      match params, has_bias with
-      | [ w ], false ->
-          Ops.fully_connected ~input:(Ops.flatten (one ())) ~weights:w ~bias:None
-      | [ w; b ], true ->
-          Ops.fully_connected ~input:(Ops.flatten (one ())) ~weights:w
-            ~bias:(Some b)
-      | _ -> fail "inner product: wrong parameter tensors"
-    end
-  | Layer.Activation Layer.Relu -> Ops.relu (one ())
-  | Layer.Activation Layer.Sigmoid -> Ops.sigmoid (one ())
-  | Layer.Activation Layer.Tanh -> Ops.tanh_act (one ())
-  | Layer.Activation Layer.Sign ->
-      Tensor.map (fun x -> if x >= 0.0 then 1.0 else -1.0) (one ())
-  | Layer.Lrn { local_size; alpha; beta; k } ->
-      Ops.lrn ~input:(one ()) ~local_size ~alpha ~beta ~k
-  | Layer.Lcn { window; epsilon } -> lcn ~window ~epsilon (one ())
-  | Layer.Dropout { ratio } -> Ops.dropout_inference ~ratio (one ())
-  | Layer.Softmax -> Ops.softmax (one ())
-  | Layer.Recurrent { steps; bias = has_bias; _ } -> begin
-      let input = Ops.flatten (one ()) in
-      match params, has_bias with
-      | [ w_in; w_rec ], false ->
-          recurrent_forward ~w_in ~w_rec ~bias:None ~steps input
-      | [ w_in; w_rec; b ], true ->
-          recurrent_forward ~w_in ~w_rec ~bias:(Some b) ~steps input
-      | _ -> fail "recurrent: wrong parameter tensors"
-    end
-  | Layer.Associative { cells_per_dim; active_cells } ->
-      associative_encode ~cells_per_dim ~active_cells (Ops.flatten (one ()))
-  | Layer.Concat -> Ops.concat_channels bottoms
-  | Layer.Classifier { top_k } -> classify_top_k ~top_k (Ops.flatten (one ()))
+  let out =
+    match layer with
+    | Layer.Input _ -> fail "input layers are not evaluated"
+    | Layer.Conv { stride; pad; group; bias = has_bias; _ } -> begin
+        match params, has_bias with
+        | [ w ], false ->
+            Ops.conv2d ~input:(one ()) ~weights:w ~bias:None ~stride
+              ~padding:(Ops.symmetric_padding pad) ~group
+        | [ w; b ], true ->
+            Ops.conv2d ~input:(one ()) ~weights:w ~bias:(Some b) ~stride
+              ~padding:(Ops.symmetric_padding pad) ~group
+        | _ -> fail "convolution: wrong parameter tensors"
+      end
+    | Layer.Pool { method_ = Layer.Max_pool; kernel_size; stride } ->
+        Ops.max_pool ~input:(one ()) ~kernel:kernel_size ~stride
+    | Layer.Pool { method_ = Layer.Avg_pool; kernel_size; stride } ->
+        Ops.avg_pool ~input:(one ()) ~kernel:kernel_size ~stride
+    | Layer.Global_pool Layer.Avg_pool -> Ops.global_avg_pool ~input:(one ())
+    | Layer.Global_pool Layer.Max_pool ->
+        let input = one () in
+        let c = Shape.channels (Tensor.shape input) in
+        let hw = Tensor.numel input / c in
+        Tensor.init (Shape.vector c) (fun ch ->
+            let best = ref neg_infinity in
+            for i = 0 to hw - 1 do
+              best := Float.max !best (Tensor.get input ((ch * hw) + i))
+            done;
+            !best)
+    | Layer.Fc { bias = has_bias; _ } -> begin
+        match params, has_bias with
+        | [ w ], false ->
+            Ops.fully_connected ~input:(Ops.flatten (one ())) ~weights:w ~bias:None
+        | [ w; b ], true ->
+            Ops.fully_connected ~input:(Ops.flatten (one ())) ~weights:w
+              ~bias:(Some b)
+        | _ -> fail "inner product: wrong parameter tensors"
+      end
+    | Layer.Act act -> activate act (one ())
+    | Layer.Lrn { local_size; alpha; beta; k } ->
+        Ops.lrn ~input:(one ()) ~local_size ~alpha ~beta ~k
+    | Layer.Lcn { window; epsilon } -> lcn ~window ~epsilon (one ())
+    | Layer.Dropout { ratio } -> Ops.dropout_inference ~ratio (one ())
+    | Layer.Softmax -> Ops.softmax (one ())
+    | Layer.Recurrent { steps; bias = has_bias; _ } -> begin
+        let input = Ops.flatten (one ()) in
+        match params, has_bias with
+        | [ w_in; w_rec ], false ->
+            recurrent_forward ~w_in ~w_rec ~bias:None ~steps input
+        | [ w_in; w_rec; b ], true ->
+            recurrent_forward ~w_in ~w_rec ~bias:(Some b) ~steps input
+        | _ -> fail "recurrent: wrong parameter tensors"
+      end
+    | Layer.Associative { cells_per_dim; active_cells } ->
+        associative_encode ~cells_per_dim ~active_cells (Ops.flatten (one ()))
+    | Layer.Concat -> Ops.concat_channels bottoms
+    | Layer.Classifier { top_k } -> classify_top_k ~top_k (Ops.flatten (one ()))
+    | Layer.Backward _ | Layer.Sgd_update _ -> Layer.reject_training_op layer
+  in
+  match Layer.fused_activation layer with
+  | Some act -> activate act out
+  | None -> out
 
 let forward net params ~inputs =
   (* O(1) blob lookup; [order] keeps the production-order listing that the

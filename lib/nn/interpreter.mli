@@ -23,7 +23,9 @@ val eval_layer :
   params:Db_tensor.Tensor.t list ->
   bottoms:Db_tensor.Tensor.t list ->
   Db_tensor.Tensor.t
-(** One layer's semantics; reused by the trainer and the tests. *)
+(** One layer's semantics, including a fused activation (applied to the
+    base op's result exactly as the standalone activation node would);
+    reused by the IR interpreter, the trainer and the tests. *)
 
 val associative_encode :
   cells_per_dim:int -> active_cells:int -> Db_tensor.Tensor.t -> Db_tensor.Tensor.t

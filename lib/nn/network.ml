@@ -17,25 +17,25 @@ let check_unique what names =
       else Hashtbl.add tbl n ())
     names
 
-let expected_arity layer =
-  match layer with
-  | Layer.Input _ -> `Exactly 0
-  | Layer.Concat -> `At_least 2
-  | Layer.Convolution _ | Layer.Pooling _ | Layer.Global_pooling _
-  | Layer.Inner_product _ | Layer.Activation _ | Layer.Lrn _ | Layer.Lcn _
-  | Layer.Dropout _ | Layer.Softmax | Layer.Recurrent _ | Layer.Associative _
-  | Layer.Classifier _ ->
-      `Exactly 1
-
-let check_arity node =
+(* Fusion and training ops are IR-only extensions of the vocabulary: a
+   frontend network describes an inference model as written. *)
+let check_node node =
+  let kind = Layer.name node.layer in
+  if Layer.is_training node.layer then
+    fail "layer %S: training op %s cannot appear in a network" node.node_name
+      kind;
+  Option.iter
+    (fun act ->
+      fail "layer %S: fused activation %s+%s cannot appear in a network"
+        node.node_name kind (Layer.activation_name act))
+    (Layer.fused_activation node.layer);
   let n = List.length node.bottoms in
-  match expected_arity node.layer with
+  match Layer.expected_arity node.layer with
   | `Exactly k when n <> k ->
-      fail "layer %S (%s) expects %d bottom(s), got %d" node.node_name
-        (Layer.name node.layer) k n
+      fail "layer %S (%s) expects %d bottom(s), got %d" node.node_name kind k n
   | `At_least k when n < k ->
       fail "layer %S (%s) expects at least %d bottoms, got %d" node.node_name
-        (Layer.name node.layer) k n
+        kind k n
   | `Exactly _ | `At_least _ -> ()
 
 let topo_sort nodes =
@@ -96,7 +96,7 @@ let create ~name nodes =
   if nodes = [] then fail "network %S has no layers" name;
   check_unique "layer name" (List.map (fun n -> n.node_name) nodes);
   check_unique "top blob" (List.concat_map (fun n -> n.tops) nodes);
-  List.iter check_arity nodes;
+  List.iter check_node nodes;
   let produced = Hashtbl.create 16 in
   List.iter
     (fun node -> List.iter (fun top -> Hashtbl.replace produced top ()) node.tops)
@@ -109,16 +109,13 @@ let create ~name nodes =
             fail "layer %S consumes unknown blob %S" node.node_name bottom)
         node.bottoms)
     nodes;
-  let has_input =
-    List.exists (fun n -> match n.layer with Layer.Input _ -> true | _ -> false) nodes
-  in
-  if not has_input then fail "network %S has no input layer" name;
+  if not (List.exists (fun n -> Layer.is_input n.layer) nodes) then
+    fail "network %S has no input layer" name;
   { net_name = name; nodes = topo_sort nodes }
 
 let find_node t name = List.find (fun n -> n.node_name = name) t.nodes
 
-let input_nodes t =
-  List.filter (fun n -> match n.layer with Layer.Input _ -> true | _ -> false) t.nodes
+let input_nodes t = List.filter (fun n -> Layer.is_input n.layer) t.nodes
 
 let output_blobs t =
   let consumed = Hashtbl.create 16 in
@@ -130,10 +127,7 @@ let output_blobs t =
     t.nodes
 
 let layer_count t =
-  List.length
-    (List.filter
-       (fun n -> match n.layer with Layer.Input _ -> false | _ -> true)
-       t.nodes)
+  List.length (List.filter (fun n -> not (Layer.is_input n.layer)) t.nodes)
 
 let iter t f = List.iter f t.nodes
 

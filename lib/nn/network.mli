@@ -23,7 +23,7 @@ val create : name:string -> node list -> t
     unique node names and top names, every bottom produced by some top or by
     an input node, at least one {!Layer.Input}, arity of bottoms per layer
     class (e.g. [Concat] needs >= 2, everything else exactly 1, inputs 0),
-    acyclicity.  Raises {!Db_util.Error.Deepburning_error} otherwise. *)
+    no training op and no fused activation (both IR-only), acyclicity.  Raises {!Db_util.Error.Deepburning_error} otherwise. *)
 
 val find_node : t -> string -> node
 (** Raises [Not_found]. *)

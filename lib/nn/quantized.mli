@@ -41,7 +41,8 @@ val eval_node :
 (** Evaluate one non-input layer on already-quantised params and bottoms.
     This is the per-node kernel behind {!forward}; the specialized engine
     delegates float-order-sensitive layers (LRN, softmax, recurrent, ...)
-    to it verbatim so both engines stay bitwise identical. *)
+    to it verbatim so both engines stay bitwise identical.  A fused
+    activation is rejected: the fixed-point model runs unfused graphs. *)
 
 val forward :
   ?eval:function_eval ->

@@ -13,7 +13,7 @@ let one_bottom layer = function
 let layer_output_shape layer bottoms =
   match layer with
   | Layer.Input { shape } -> shape
-  | Layer.Convolution { num_output; kernel_size; stride; pad; group; bias = _ } ->
+  | Layer.Conv { num_output; kernel_size; stride; pad; group; _ } ->
       let s = one_bottom layer bottoms in
       if Shape.rank s <> 3 then
         fail "convolution needs a CHW bottom, got %s" (Shape.to_string s);
@@ -30,7 +30,7 @@ let layer_output_shape layer bottoms =
           ~stride ~pad_lo:pad ~pad_hi:pad
       in
       Shape.chw ~channels:num_output ~height:oh ~width:ow
-  | Layer.Pooling { method_ = _; kernel_size; stride } ->
+  | Layer.Pool { kernel_size; stride; _ } ->
       let s = one_bottom layer bottoms in
       if Shape.rank s <> 3 then
         fail "pooling needs a CHW bottom, got %s" (Shape.to_string s);
@@ -42,15 +42,15 @@ let layer_output_shape layer bottoms =
           ~stride ~pad_lo:0 ~pad_hi:0
       in
       Shape.chw ~channels:(Shape.channels s) ~height:oh ~width:ow
-  | Layer.Global_pooling _ ->
+  | Layer.Global_pool _ ->
       let s = one_bottom layer bottoms in
       if Shape.rank s <> 3 then
         fail "global pooling needs a CHW bottom, got %s" (Shape.to_string s);
       Shape.vector (Shape.channels s)
-  | Layer.Inner_product { num_output; bias = _ } ->
+  | Layer.Fc { num_output; _ } ->
       let (_ : Shape.t) = one_bottom layer bottoms in
       Shape.vector num_output
-  | Layer.Activation _ | Layer.Dropout _ | Layer.Softmax ->
+  | Layer.Act _ | Layer.Dropout _ | Layer.Softmax ->
       one_bottom layer bottoms
   | Layer.Lrn _ ->
       let s = one_bottom layer bottoms in
@@ -100,6 +100,7 @@ let layer_output_shape layer bottoms =
         fail "classifier top_k %d out of range for %s inputs" top_k
           (Shape.to_string s);
       Shape.vector top_k
+  | Layer.Backward _ | Layer.Sgd_update _ -> Layer.reject_training_op layer
 
 let infer net =
   let table : t = ref [] in

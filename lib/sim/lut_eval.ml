@@ -20,15 +20,14 @@ let of_luts luts =
   {
     Quantized.eval_activation =
       (fun act ->
-        (* Dispatch on the IR activation vocabulary once per partial
-           application — [qmap] applies [eval_activation act] to a whole
-           tensor, so the dispatch is hoisted out of the element loop.
-           [act] is passed through unchanged to the exact fallback. *)
-        match Db_ir.Op.activation_of_layer act with
-        | Db_ir.Op.Relu | Db_ir.Op.Sign -> exact.Quantized.eval_activation act
-        | Db_ir.Op.Sigmoid ->
-            via sigmoid_lut (exact.Quantized.eval_activation act)
-        | Db_ir.Op.Tanh -> via tanh_lut (exact.Quantized.eval_activation act));
+        (* Dispatch once per partial application — [qmap] applies
+           [eval_activation act] to a whole tensor, so the dispatch is
+           hoisted out of the element loop. *)
+        let exact_act = exact.Quantized.eval_activation act in
+        match act with
+        | Db_nn.Layer.Relu | Db_nn.Layer.Sign -> exact_act
+        | Db_nn.Layer.Sigmoid -> via sigmoid_lut exact_act
+        | Db_nn.Layer.Tanh -> via tanh_lut exact_act);
     eval_reciprocal =
       (fun x ->
         match reciprocal_lut with

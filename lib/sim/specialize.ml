@@ -134,10 +134,10 @@ let compile (design : Design.t) =
             | [ top ] -> K_input { top; shape }
             | [] | _ :: _ :: _ -> K_bad_input
           end
-        | Layer.Convolution { stride; pad; group; bias; _ } ->
+        | Layer.Conv { stride; pad; group; bias; _ } ->
             K_conv { stride; pad; group; has_bias = bias }
-        | Layer.Inner_product { bias; _ } -> K_fc { has_bias = bias }
-        | Layer.Activation act -> K_act act
+        | Layer.Fc { bias; _ } -> K_fc { has_bias = bias }
+        | Layer.Act act -> K_act act
         | _ -> K_generic
       in
       let np_bottoms =
@@ -158,11 +158,9 @@ let compile (design : Design.t) =
         (* Same classifier detection as [Quantized.output]: indices stay
            integers instead of being dequantised. *)
         let classifier =
-          Network.has_layer net (function Layer.Classifier _ -> true | _ -> false)
-          && (match List.rev net.Network.nodes with
-             | last :: _ -> (
-                 match last.Network.layer with Layer.Classifier _ -> true | _ -> false)
-             | [] -> false)
+          match List.rev net.Network.nodes with
+          | last :: _ -> Layer.is_classifier last.Network.layer
+          | [] -> false
         in
         Out_single { slot = Hashtbl.find blob_slot blob; classifier }
     | blobs -> Out_multi (List.length blobs)

@@ -34,7 +34,8 @@ type entry = {
 
 let magic = "DBSTORE1"
 
-let format_version = 1
+(* Bump whenever [Design.t]'s marshalled layout changes. *)
+let format_version = 2
 
 type stats = {
   st_hits : int;

@@ -17,8 +17,9 @@
 type t
 
 val format_version : int
-(** Bumped whenever the on-disk layout changes; entries from another
-    format are treated as corrupt and regenerated. *)
+(** Bumped whenever the on-disk layout or [Design.t]'s marshalled layout
+    changes; entries from another format are counted [version]-corrupt
+    and regenerated. *)
 
 val open_store : ?version_salt:string -> ?max_bytes:int -> dir:string -> unit -> t
 (** Create/open a store rooted at [dir] (created if missing, classified

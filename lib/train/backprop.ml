@@ -32,15 +32,7 @@ type cache = {
 (* Fused ops are excluded: training runs on the raw-lowered graph, where
    every activation is still a standalone node. *)
 let supported op =
-  Op.fused_activation op = None
-  &&
-  match op with
-  | Op.Conv _ | Op.Pool _ | Op.Global_pool _ | Op.Fc _ | Op.Act _
-  | Op.Dropout _ | Op.Softmax | Op.Associative _ | Op.Lrn _ ->
-      true
-  | Op.Input _ | Op.Lcn _ | Op.Recurrent _ | Op.Concat | Op.Classifier _
-  | Op.Backward _ | Op.Sgd_update _ ->
-      false
+  Op.fused_activation op = None && Db_ir.Lower.differentiable op
 
 let forward_op ~op ~params ~input =
   (match Op.fused_activation op with
@@ -48,9 +40,7 @@ let forward_op ~op ~params ~input =
       fail "cannot train through %s+%s: backprop runs on the raw graph"
         (Op.name op) (Op.activation_name act)
   | None -> ());
-  let output =
-    Db_nn.Interpreter.eval_layer (Op.to_layer op) ~params ~bottoms:[ input ]
-  in
+  let output = Db_nn.Interpreter.eval_layer op ~params ~bottoms:[ input ] in
   (output, { c_op = op; c_params = params; c_input = input; c_output = output })
 
 (* dL/dx and dL/dW for a convolution, direct nested loops mirroring the

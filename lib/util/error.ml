@@ -46,6 +46,7 @@ let () =
       ("caffe", Parse);
       ("constraints", Parse);
       ("network", Validation);
+      ("layer", Validation);
       ("tensor", Validation);
       ("params", Validation);
       ("shape-infer", Validation);

@@ -82,7 +82,7 @@ let quantized_fc features weights bias =
         };
         {
           Db_nn.Network.node_name = "fc";
-          layer = Db_nn.Layer.Inner_product { num_output = nout; bias = bias <> None };
+          layer = Db_nn.Layer.Fc { num_output = nout; bias = bias <> None; fused = None };
           bottoms = [ "x" ];
           tops = [ "y" ];
         };
@@ -543,48 +543,6 @@ let test_calibrated_constraints () =
   Alcotest.(check bool) "fraction-heavy" true
     (cons.Db_core.Constraints.fmt.Db_fixed.Fixed.frac_bits >= 10)
 
-(* --- Explorer ---------------------------------------------------------------- *)
-
-let test_explorer_sweep_and_pareto () =
-  let net = Db_workloads.Model_zoo.build Db_workloads.Model_zoo.mnist_prototxt in
-  let points =
-    Db_sim.Explorer.sweep_lanes Db_core.Constraints.db_medium net
-      ~lanes:[ 1; 2; 4; 8; 16 ]
-  in
-  Alcotest.(check int) "five points" 5 (List.length points);
-  let frontier = Db_sim.Explorer.pareto points in
-  Alcotest.(check bool) "frontier non-empty" true (frontier <> []);
-  Alcotest.(check bool) "frontier within points" true
-    (List.for_all (fun p -> List.memq p points) frontier);
-  (* Frontier is sorted by latency and no member dominates another. *)
-  let rec sorted = function
-    | a :: (b :: _ as rest) ->
-        a.Db_sim.Explorer.pt_seconds <= b.Db_sim.Explorer.pt_seconds && sorted rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "sorted" true (sorted frontier);
-  match Db_sim.Explorer.best_under_budget points with
-  | Some best ->
-      Alcotest.(check bool) "best fits" true best.Db_sim.Explorer.pt_fits_budget
-  | None -> Alcotest.fail "expected a feasible point"
-
-let test_explorer_pareto_drops_dominated () =
-  let mk lanes seconds luts =
-    {
-      Db_sim.Explorer.pt_lanes = lanes;
-      pt_seconds = seconds;
-      pt_energy_j = 0.0;
-      pt_resources = Db_fpga.Resource.make ~luts ();
-      pt_fits_budget = true;
-    }
-  in
-  let a = mk 1 1.0 100 and b = mk 2 0.5 200 and c = mk 3 1.5 300 in
-  (* c is slower AND bigger than both: dominated. *)
-  let frontier = Db_sim.Explorer.pareto [ a; b; c ] in
-  Alcotest.(check int) "two survivors" 2 (List.length frontier);
-  Alcotest.(check bool) "c dropped" true
-    (not (List.exists (fun p -> p.Db_sim.Explorer.pt_lanes = 3) frontier))
-
 let suite =
   suite
   @ [
@@ -598,11 +556,6 @@ let suite =
           Alcotest.test_case "choose format" `Quick test_choose_format;
           Alcotest.test_case "represents activations" `Quick test_calibrate_represents_activations;
           Alcotest.test_case "constraints" `Quick test_calibrated_constraints;
-        ] );
-      ( "ext.explorer",
-        [
-          Alcotest.test_case "sweep + pareto" `Quick test_explorer_sweep_and_pareto;
-          Alcotest.test_case "drops dominated" `Quick test_explorer_pareto_drops_dominated;
         ] );
     ]
 

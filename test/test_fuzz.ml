@@ -45,22 +45,22 @@ let random_network rng =
           let k = if R.bool rng then 3 else 1 in
           let name = fresh "conv" in
           push name
-            (Layer.Convolution
+            (Layer.Conv
                { num_output = nout; kernel_size = k; stride = 1; pad = k / 2;
-                 group = 1; bias = R.bool rng })
+                 group = 1; bias = R.bool rng; fused = None })
             !blob name;
           blob := name;
           c := nout
       | 1 when !hw >= 4 && !hw mod 2 = 0 ->
           let name = fresh "pool" in
-          let method_ = if R.bool rng then Layer.Max else Layer.Average in
-          push name (Layer.Pooling { method_; kernel_size = 2; stride = 2 }) !blob name;
+          let method_ = if R.bool rng then Layer.Max_pool else Layer.Avg_pool in
+          push name (Layer.Pool { method_; kernel_size = 2; stride = 2 }) !blob name;
           blob := name;
           hw := !hw / 2
       | 2 ->
           let name = fresh "act" in
           let act = R.pick rng [| Layer.Relu; Layer.Sigmoid; Layer.Tanh |] in
-          push name (Layer.Activation act) !blob name;
+          push name (Layer.Act act) !blob name;
           blob := name
       | 3 ->
           let name = fresh "lrn" in
@@ -73,7 +73,7 @@ let random_network rng =
       | _ ->
           let name = fresh "fc" in
           let nout = 2 + R.int rng 12 in
-          push name (Layer.Inner_product { num_output = nout; bias = R.bool rng }) !blob name;
+          push name (Layer.Fc { num_output = nout; bias = R.bool rng; fused = None }) !blob name;
           blob := name;
           flat := true;
           c := nout
@@ -82,19 +82,19 @@ let random_network rng =
       match R.int rng 2 with
       | 0 ->
           let name = fresh "act" in
-          push name (Layer.Activation (R.pick rng [| Layer.Relu; Layer.Sigmoid; Layer.Tanh |])) !blob name;
+          push name (Layer.Act (R.pick rng [| Layer.Relu; Layer.Sigmoid; Layer.Tanh |])) !blob name;
           blob := name
       | _ ->
           let name = fresh "fc" in
           let nout = 2 + R.int rng 12 in
-          push name (Layer.Inner_product { num_output = nout; bias = R.bool rng }) !blob name;
+          push name (Layer.Fc { num_output = nout; bias = R.bool rng; fused = None }) !blob name;
           blob := name;
           c := nout
     end
   done;
   (* Always end with an FC head so the output is a small vector. *)
   let head = fresh "head" in
-  push head (Layer.Inner_product { num_output = 4; bias = true }) !blob head;
+  push head (Layer.Fc { num_output = 4; bias = true; fused = None }) !blob head;
   ( Network.create ~name:(Printf.sprintf "fuzz-%d" (R.int rng 100000))
       (List.rev !nodes),
     Shape.chw ~channels ~height:size ~width:size )

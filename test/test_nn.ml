@@ -15,8 +15,8 @@ let tiny_mlp () =
   Network.create ~name:"tiny"
     [
       node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
-      node "fc" (Layer.Inner_product { num_output = 3; bias = true }) [ "data" ] [ "h" ];
-      node "act" (Layer.Activation Layer.Relu) [ "h" ] [ "out" ];
+      node "fc" (Layer.Fc { num_output = 3; bias = true; fused = None }) [ "data" ] [ "h" ];
+      node "act" (Layer.Act Layer.Relu) [ "h" ] [ "out" ];
     ]
 
 let test_create_and_order () =
@@ -24,8 +24,8 @@ let test_create_and_order () =
   let net =
     Network.create ~name:"disorder"
       [
-        node "act" (Layer.Activation Layer.Relu) [ "h" ] [ "out" ];
-        node "fc" (Layer.Inner_product { num_output = 3; bias = true }) [ "data" ] [ "h" ];
+        node "act" (Layer.Act Layer.Relu) [ "h" ] [ "out" ];
+        node "fc" (Layer.Fc { num_output = 3; bias = true; fused = None }) [ "data" ] [ "h" ];
         node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
       ]
   in
@@ -48,18 +48,47 @@ let test_validation_errors () =
   expect_network_error
     [
       node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
-      node "fc" (Layer.Inner_product { num_output = 3; bias = true }) [ "nope" ] [ "h" ];
+      node "fc" (Layer.Fc { num_output = 3; bias = true; fused = None }) [ "nope" ] [ "h" ];
     ]
     "unknown blob";
   expect_network_error
     [
       node "a" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
-      node "a" (Layer.Activation Layer.Relu) [ "data" ] [ "out" ];
+      node "a" (Layer.Act Layer.Relu) [ "data" ] [ "out" ];
     ]
     "duplicate";
   expect_network_error
-    [ node "fc" (Layer.Inner_product { num_output = 3; bias = true }) [] [ "h" ] ]
-    "expects 1 bottom"
+    [ node "fc" (Layer.Fc { num_output = 3; bias = true; fused = None }) [] [ "h" ] ]
+    "expects 1 bottom";
+  (* Fusion and training ops share the op type but are IR-only. *)
+  let fc = Layer.Fc { num_output = 3; bias = true; fused = None } in
+  List.iter
+    (fun (op, fragment) ->
+      expect_network_error
+        [
+          node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
+          node "x" op [ "data" ] [ "out" ];
+        ]
+        fragment)
+    [
+      ( Layer.Fc { num_output = 3; bias = true; fused = Some Layer.Relu },
+        "network: layer \"x\": fused activation FC+RELU" );
+      ( Layer.Conv
+          { num_output = 2; kernel_size = 1; stride = 1; pad = 0; group = 1;
+            bias = false; fused = Some Layer.Tanh },
+        "network: layer \"x\": fused activation CONV+TANH" );
+      ( Layer.Sgd_update { target = "fc" },
+        "network: layer \"x\": training op SGD_UPDATE" );
+    ];
+  expect_network_error
+    [
+      node "in" (Layer.Input { shape = Shape.vector 2 }) [] [ "data" ];
+      node "fc" fc [ "data" ] [ "h" ];
+      node "x"
+        (Layer.Backward { fwd = fc; wrt = Layer.Wrt_input })
+        [ "h"; "data" ] [ "dx" ];
+    ]
+    "network: layer \"x\": training op BP_DX"
 
 let test_output_blobs () =
   let net = tiny_mlp () in
@@ -272,7 +301,7 @@ let test_quantized_avg_pool_shift () =
       [
         node "in" (Layer.Input { shape = Shape.chw ~channels:1 ~height:2 ~width:2 }) [] [ "x" ];
         node "p"
-          (Layer.Pooling { method_ = Layer.Average; kernel_size = 2; stride = 2 })
+          (Layer.Pool { method_ = Layer.Avg_pool; kernel_size = 2; stride = 2 })
           [ "x" ] [ "y" ];
       ]
   in
@@ -284,6 +313,39 @@ let test_quantized_avg_pool_shift () =
       ~inputs:[ ("x", input) ]
   in
   Alcotest.(check (float 1e-6)) "exact mean" 2.5 (Tensor.get out 0)
+
+(* The shared op type carries IR-only extensions: the float interpreter
+   applies a fused activation itself, the fixed-point model refuses one,
+   and a training op reaching any inference function fails classified. *)
+let test_fused_and_training_ops () =
+  let fc fused = Layer.Fc { num_output = 3; bias = false; fused } in
+  let w = Tensor.of_array (Shape.of_list [ 3; 2 ]) [| 1.; -1.; -2.; 0.5; 0.; 3. |] in
+  let x = Tensor.of_array (Shape.vector 2) [| 0.5; 1.0 |] in
+  let eval op = Db_nn.Interpreter.eval_layer op ~params:[ w ] ~bottoms:[ x ] in
+  let relu_after =
+    Db_nn.Interpreter.eval_layer (Layer.Act Layer.Relu) ~params:[]
+      ~bottoms:[ eval (fc None) ]
+  in
+  Alcotest.(check bool) "fused relu = fc then relu" true
+    (Tensor.equal_bits relu_after (eval (fc (Some Layer.Relu))));
+  let expect_class what cls f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected a classified failure" what
+    | exception e ->
+        Alcotest.(check bool) what true
+          (Db_util.Error.classify_exn e = Some cls)
+  in
+  let fmt = Db_fixed.Fixed.q16_8 in
+  expect_class "quantized rejects fused" Db_util.Error.Validation (fun () ->
+      Db_nn.Quantized.eval_node fmt Db_nn.Quantized.exact_eval
+        (fc (Some Layer.Relu))
+        ~params:[ Db_nn.Quantized.quantize fmt w ]
+        ~bottoms:[ Db_nn.Quantized.quantize fmt x ]);
+  let sgd = Layer.Sgd_update { target = "fc" } in
+  expect_class "shape of a training op" Db_util.Error.Validation (fun () ->
+      Db_nn.Shape_infer.layer_output_shape sgd [ Shape.vector 2 ]);
+  expect_class "eval of a training op" Db_util.Error.Validation (fun () ->
+      eval (Layer.Backward { fwd = fc None; wrt = Layer.Wrt_input }))
 
 let suite =
   [
@@ -310,6 +372,8 @@ let suite =
         Alcotest.test_case "associative" `Quick test_associative_encoding;
         Alcotest.test_case "associative sparsity" `Quick test_associative_sparsity;
         Alcotest.test_case "classifier top-k" `Quick test_classifier_topk;
+        Alcotest.test_case "fused and training ops" `Quick
+          test_fused_and_training_ops;
       ] );
     ( "nn.caffe",
       [
