@@ -562,7 +562,7 @@ let faults_cmd =
               Db_util.Error.failf_at ~component:"fault"
                 "network has no input node"
         in
-        let input_blob = List.hd input_node.Db_ir.Graph.outputs in
+        let input_blob = List.hd input_node.Db_ir.Graph.tops in
         let shape = input_node.Db_ir.Graph.out_shape in
         let inputs =
           Array.init ninputs (fun _ ->
@@ -1072,7 +1072,7 @@ let train_hw_cmd =
         let in_shape =
           match
             List.find_opt
-              (fun (n : Db_ir.Graph.node) -> Db_ir.Op.is_input n.Db_ir.Graph.op)
+              (fun (n : Db_ir.Graph.node) -> Db_ir.Op.is_input n.Db_ir.Graph.layer)
               ir.Db_ir.Graph.nodes
           with
           | Some n -> n.Db_ir.Graph.out_shape

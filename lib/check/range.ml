@@ -343,17 +343,17 @@ let transfer mode (node : Graph.node) (ins : Interval.t list) =
     | x :: _ -> x
     | [] -> fail "%s: operator with no inputs" node.Graph.node_name
   in
-  match node.Graph.op with
+  match node.Graph.layer with
   | Op.Input _ -> fail "input nodes carry the declared interval"
   | Op.Conv { num_output; kernel_size; pad; group; bias; _ } ->
       let wb =
         conv_bounds mode node ~num_output ~kernel_size ~pad ~group
           ~has_bias:bias (one ())
       in
-      (fused_act node.Graph.op wb.wb_out, Some wb)
+      (fused_act node.Graph.layer wb.wb_out, Some wb)
   | Op.Fc { num_output; bias; _ } ->
       let wb = fc_bounds mode node ~num_output ~has_bias:bias (one ()) in
-      (fused_act node.Graph.op wb.wb_out, Some wb)
+      (fused_act node.Graph.layer wb.wb_out, Some wb)
   | Op.Recurrent { num_output; bias; _ } ->
       let wb = recurrent_bounds mode node ~num_output ~has_bias:bias (one ()) in
       (wb.wb_out, Some wb)
@@ -382,7 +382,7 @@ let transfer mode (node : Graph.node) (ins : Interval.t list) =
          proof ([Db_core.Train_builder]); interval analysis itself only
          runs on inference graphs. *)
       fail "range analysis runs on the forward graph; %s is a training op"
-        (Op.name node.Graph.op)
+        (Op.name node.Graph.layer)
 
 let analyze ?params ?(input = default_input) ~fmt (g : Graph.t) =
   let mode = match params with Some p -> Actual p | None -> Assumed in
@@ -390,7 +390,7 @@ let analyze ?params ?(input = default_input) ~fmt (g : Graph.t) =
   let half_lsb = Fixed.resolution fmt /. 2.0 in
   let diags = ref [] in
   let diag code severity ?item msg =
-    diags := D.v ~code ~severity ~scope:g.Graph.graph_name ?item msg :: !diags
+    diags := D.v ~code ~severity ~scope:g.Graph.net_name ?item msg :: !diags
   in
   let exact_env : (string, Interval.t) Hashtbl.t = Hashtbl.create 32 in
   let stored_env : (string, Interval.t) Hashtbl.t = Hashtbl.create 32 in
@@ -407,7 +407,7 @@ let analyze ?params ?(input = default_input) ~fmt (g : Graph.t) =
                    && Fixed.fits_float fmt input.Interval.hi in
   Graph.iter g (fun node ->
       let name = node.Graph.node_name in
-      if Op.is_input node.Graph.op then begin
+      if Op.is_input node.Graph.layer then begin
         if not input_fits then
           diag code_input_escape D.Error ~item:name
             (Printf.sprintf
@@ -430,12 +430,12 @@ let analyze ?params ?(input = default_input) ~fmt (g : Graph.t) =
             Hashtbl.replace exact_env top input;
             Hashtbl.replace stored_env top stored;
             Hashtbl.replace proven_env top input_fits)
-          node.Graph.outputs;
+          node.Graph.tops;
         layers :=
           {
             lr_node = name;
-            lr_op = Op.name node.Graph.op;
-            lr_blob = (match node.Graph.outputs with b :: _ -> b | [] -> name);
+            lr_op = Op.name node.Graph.layer;
+            lr_blob = (match node.Graph.tops with b :: _ -> b | [] -> name);
             lr_exact = input;
             lr_stored = stored;
             lr_proven = input_fits;
@@ -445,13 +445,13 @@ let analyze ?params ?(input = default_input) ~fmt (g : Graph.t) =
       end
       else begin
         let exact_ins =
-          List.map (fun b -> lookup exact_env b name) node.Graph.inputs
+          List.map (fun b -> lookup exact_env b name) node.Graph.bottoms
         in
         let stored_ins =
-          List.map (fun b -> lookup stored_env b name) node.Graph.inputs
+          List.map (fun b -> lookup stored_env b name) node.Graph.bottoms
         in
         let ins_proven =
-          List.for_all (fun b -> lookup proven_env b name) node.Graph.inputs
+          List.for_all (fun b -> lookup proven_env b name) node.Graph.bottoms
         in
         let exact_raw, wb_exact = transfer mode node exact_ins in
         let stored_raw, wb_stored = transfer mode node stored_ins in
@@ -524,12 +524,12 @@ let analyze ?params ?(input = default_input) ~fmt (g : Graph.t) =
             Hashtbl.replace exact_env top exact;
             Hashtbl.replace stored_env top stored;
             Hashtbl.replace proven_env top proven)
-          node.Graph.outputs;
+          node.Graph.tops;
         layers :=
           {
             lr_node = name;
-            lr_op = Op.name node.Graph.op;
-            lr_blob = (match node.Graph.outputs with b :: _ -> b | [] -> name);
+            lr_op = Op.name node.Graph.layer;
+            lr_blob = (match node.Graph.tops with b :: _ -> b | [] -> name);
             lr_exact = exact;
             lr_stored = stored;
             lr_proven = proven;

@@ -30,7 +30,7 @@ let activation_lut dp act =
 let distinct_activations (g : Graph.t) =
   Graph.fold g ~init:[] ~f:(fun acc node ->
       let add act acc = if List.mem act acc then acc else act :: acc in
-      match node.Graph.op with
+      match node.Graph.layer with
       | Op.Act act -> add act acc
       | Op.Recurrent _ -> add Op.Tanh acc
       | op -> begin
@@ -42,15 +42,15 @@ let distinct_activations (g : Graph.t) =
 
 let max_pool_window (g : Graph.t) =
   Graph.fold g ~init:0 ~f:(fun acc node ->
-      match node.Graph.op with
+      match node.Graph.layer with
       | Op.Pool { kernel_size; _ } -> Stdlib.max acc kernel_size
       | _ -> acc)
 
-let has g pred = Graph.has_op g pred
+let has g pred = Graph.has_layer g pred
 
 let classifier_config (g : Graph.t) =
   Graph.fold g ~init:None ~f:(fun acc node ->
-      match node.Graph.op, acc with
+      match node.Graph.layer, acc with
       | Op.Classifier { top_k }, None -> begin
           match node.Graph.in_shapes with
           | [ bottom ] -> Some (top_k, Db_tensor.Shape.numel bottom)
@@ -110,7 +110,7 @@ let build ?acc_bits (g : Graph.t) dp ~schedule ~layout =
   if has g (function Op.Lrn _ | Op.Lcn _ -> true | _ -> false) then begin
     let local_size =
       Graph.fold g ~init:5 ~f:(fun acc node ->
-          match node.Graph.op with
+          match node.Graph.layer with
           | Op.Lrn { local_size; _ } -> Stdlib.max acc local_size
           | _ -> acc)
     in

@@ -89,7 +89,7 @@ let main_agu_addr_bits (design : Design.t) =
       blocks
   with
   | Some bits -> bits
-  | None -> fail "design %S has no main AGU block" design.Design.ir.Graph.graph_name
+  | None -> fail "design %S has no main AGU block" design.Design.ir.Graph.net_name
 
 let node_of g name =
   match Graph.find_node_opt g name with
@@ -103,7 +103,7 @@ let node_of g name =
 let feature_working_set (g : Graph.t) layout (p : Compiler.fold_program) =
   let node = node_of g p.Compiler.fold.Folding.fold_layer in
   if not p.Compiler.windows_streamed then begin
-    match node.Graph.inputs with
+    match node.Graph.bottoms with
     | blob :: _ -> (Layout.feature_entry layout ~blob).Layout.words
     | [] -> 0
   end
@@ -111,7 +111,7 @@ let feature_working_set (g : Graph.t) layout (p : Compiler.fold_program) =
     match node.Graph.in_shapes with
     | bshape :: _ when Shape.rank bshape = 3 ->
         let rows =
-          match Op.window node.Graph.op with Some (k, _) -> k | None -> 1
+          match Op.window node.Graph.layer with Some (k, _) -> k | None -> 1
         in
         rows * Shape.width bshape * Shape.channels bshape
     | _ -> p.Compiler.fold.Folding.feature_words
@@ -124,8 +124,8 @@ let weight_working_set (g : Graph.t) (p : Compiler.fold_program) =
   let node = node_of g p.Compiler.fold.Folding.fold_layer in
   if p.Compiler.fold.Folding.weight_words = 0 then 0
   else begin
-    let bias = if Op.has_bias node.Graph.op then 1 else 0 in
-    match node.Graph.op, node.Graph.in_shapes with
+    let bias = if Op.has_bias node.Graph.layer then 1 else 0 in
+    match node.Graph.layer, node.Graph.in_shapes with
     | Op.Conv { kernel_size; group; _ }, bshape :: _ ->
         (Shape.channels bshape / Stdlib.max 1 group)
         * kernel_size * kernel_size
@@ -167,7 +167,7 @@ let plant_of_design (design : Design.t) =
   let dp = design.Design.datapath in
   let port = dp.Db_sched.Datapath.port_words in
   {
-    Mem_safety.pl_scope = design.Design.ir.Graph.graph_name;
+    Mem_safety.pl_scope = design.Design.ir.Graph.net_name;
     pl_regions = regions_of_layout design.Design.layout;
     pl_total_words = design.Design.layout.Layout.total_words;
     pl_feature_buffer =
@@ -185,7 +185,7 @@ let plant_of_design (design : Design.t) =
 
 let check ?params ?input (design : Design.t) =
   Db_obs.Obs.with_span "check"
-    ~attrs:[ ("design", design.Design.ir.Graph.graph_name) ]
+    ~attrs:[ ("design", design.Design.ir.Graph.net_name) ]
     (fun () ->
       let ck_range =
         Range.analyze ?params ?input

@@ -42,7 +42,7 @@ let build_luts (g : Graph.t) ~entries =
     | Op.Relu | Op.Sign -> ()
   in
   Graph.iter g (fun node ->
-      (match node.Graph.op with
+      (match node.Graph.layer with
       | Op.Act act -> add_activation act
       | Op.Recurrent _ -> add (Db_blocks.Approx_lut.tanh_lut ~entries)
       | Op.Softmax ->
@@ -64,7 +64,7 @@ let build_luts (g : Graph.t) ~entries =
       (* Backward derivative LUTs reuse the forward tables. *)
       | Op.Backward _ | Op.Sgd_update _ ->
           ());
-      match Op.fused_activation node.Graph.op with
+      match Op.fused_activation node.Graph.layer with
       | Some act -> add_activation act
       | None -> ());
   List.rev !acc
@@ -75,7 +75,7 @@ let node_of g name =
   | None -> fail "schedule references unknown layer %S" name
 
 let input_blob (node : Graph.node) =
-  match node.Graph.inputs with
+  match node.Graph.bottoms with
   | bottom :: _ -> bottom
   | [] -> fail "layer %S has no bottom" node.Graph.node_name
 
@@ -185,7 +185,7 @@ let compile ?(tiling_enabled = true) (g : Graph.t) ~datapath ~schedule ~layout =
            in
            let burst = 16 in
            let window_words, waste =
-             match node.Graph.op with
+             match node.Graph.layer with
              | Op.Conv { kernel_size = k; group; _ } ->
                  let cin_g = Shape.channels bshape / group in
                  let osh = node.Graph.out_shape in
@@ -263,7 +263,7 @@ let compile ?(tiling_enabled = true) (g : Graph.t) ~datapath ~schedule ~layout =
                   :: !transfers
         end;
         (* Output write-back. *)
-        (match node.Graph.outputs with
+        (match node.Graph.tops with
         | top :: _ ->
             let oentry = Layout.feature_entry layout ~blob:top in
             let offset = fold.Folding.fold_index * fold.Folding.output_words in

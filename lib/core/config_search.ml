@@ -16,10 +16,10 @@ let fail fmt = Db_util.Error.failf_at ~component:"config-search" fmt
    quantity spatial folding cuts into lane-sized segments). *)
 let fold_parallelism (g : Graph.t) ~init ~f =
   Graph.fold g ~init ~f:(fun acc node ->
-      match Op.num_output node.Graph.op with
+      match Op.num_output node.Graph.layer with
       | Some num_output -> f acc num_output
       | None -> begin
-          match node.Graph.op, node.Graph.in_shapes with
+          match node.Graph.layer, node.Graph.in_shapes with
           | (Op.Pool _ | Op.Global_pool _), [ bottom ] ->
               f acc (Shape.channels bottom)
           | _ -> acc
@@ -138,13 +138,13 @@ let search cons (g : Graph.t) =
   | Ok () -> ()
   | Error why ->
       fail "format %a is infeasible for network %S: %s" Db_fixed.Fixed.pp_format
-        cons.Constraints.fmt g.Graph.graph_name why);
+        cons.Constraints.fmt g.Graph.net_name why);
   let cap = Stdlib.max 1 cons.Constraints.budget.Resource.dsps in
   let upper = Stdlib.min cap (useful_lanes g) in
   let rec try_lanes lanes =
     if lanes < 1 then
       fail "no datapath fits budget %a for network %S" Resource.pp
-        cons.Constraints.budget g.Graph.graph_name
+        cons.Constraints.budget g.Graph.net_name
     else begin
       let candidate = evaluate cons g ~lanes in
       if

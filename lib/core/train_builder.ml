@@ -45,7 +45,7 @@ let grad_acc_bits_for ~fmt ~batch g =
 let weighted_forward_nodes (g : Graph.t) =
   List.filter
     (fun (n : Graph.node) ->
-      Op.is_weighted n.Graph.op && not (Op.is_training n.Graph.op))
+      Op.is_weighted n.Graph.layer && not (Op.is_training n.Graph.layer))
     g.Graph.nodes
 
 let sum_numel shapes =
@@ -63,7 +63,7 @@ let train_blocks_for (base : Design.t) ~grad_acc_bits =
           | [] -> fail "weighted node %S has no parameter shapes" n.Graph.node_name
         in
         let rows =
-          match Op.num_output n.Graph.op with
+          match Op.num_output n.Graph.layer with
           | Some r when r > 0 -> r
           | _ -> 1
         in

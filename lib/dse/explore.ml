@@ -207,14 +207,14 @@ let explore ?(config = default_config) (base : Constraints.t) net =
             let srng = Rng.create (config.seed + (31 * (i + 1))) in
             List.map
               (fun n ->
-                ( List.hd n.Graph.outputs,
+                ( List.hd n.Graph.tops,
                   Tensor.random_uniform srng n.Graph.out_shape ~min:(-1.0)
                     ~max:1.0 ))
               input_nodes)
       in
       let input_blob =
         match input_nodes with
-        | [ n ] -> Some (List.hd n.Graph.outputs)
+        | [ n ] -> Some (List.hd n.Graph.tops)
         | _ -> None
       in
       let refs =

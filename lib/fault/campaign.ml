@@ -284,7 +284,7 @@ let run ~design ~params ~input_blob ~inputs (config : config) =
   in
   let classifier =
     match Graph.last_node design.Design.ir with
-    | Some last -> Db_ir.Op.is_classifier last.Graph.op
+    | Some last -> Db_ir.Op.is_classifier last.Graph.layer
     | None -> false
   in
   let top1_of t =

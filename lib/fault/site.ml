@@ -76,7 +76,7 @@ let enumerate ?train ~design ~params ~input_blob ~input_words ~stored_bits
       List.iteri
         (fun i t ->
           let cls =
-            if Op.has_bias node.Graph.op && i = n - 1 then Biases else Weights
+            if Op.has_bias node.Graph.layer && i = n - 1 then Biases else Weights
           in
           if enabled cls then
             push
@@ -163,7 +163,7 @@ let enumerate ?train ~design ~params ~input_blob ~input_words ~stored_bits
   | Some (tb : Db_core.Train_builder.t) ->
       let acc_bits = tb.Db_core.Train_builder.grad_acc_bits in
       Graph.iter tb.Db_core.Train_builder.tgraph (fun node ->
-          match node.Graph.op with
+          match node.Graph.layer with
           | Op.Sgd_update { target } ->
               let words =
                 List.fold_left

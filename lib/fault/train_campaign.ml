@@ -69,7 +69,7 @@ type result = {
 let update_targets (tb : Train_builder.t) =
   List.filter_map
     (fun (n : Graph.node) ->
-      match n.Graph.op with
+      match n.Graph.layer with
       | Op.Sgd_update { target } -> Some target
       | _ -> None)
     tb.Train_builder.tgraph.Graph.nodes

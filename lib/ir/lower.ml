@@ -1,29 +1,14 @@
-(* Lowering [Db_nn.Network.t] into the IR.  The network is already
-   topologically sorted and validated by [Network.create] (so carries no
-   fused or training op); lowering wraps each node's op in a [Graph.node]
-   and computes its attributes exactly once.  Pass [~fmt] to stamp the
-   datapath quantization format on every node. *)
+(* Lowering [Db_nn.Network.t] into the IR.  The two share one graph type,
+   already validated, sorted and annotated by [Network.create] (so carrying
+   no fused or training op); lowering only stamps the datapath
+   quantization format, when given, on every node. *)
 
 let lower ?fmt (net : Db_nn.Network.t) : Graph.t =
-  let nodes =
-    List.map
-      (fun (n : Db_nn.Network.node) ->
-        {
-          Graph.id = 0;
-          node_name = n.Db_nn.Network.node_name;
-          op = n.Db_nn.Network.layer;
-          inputs = n.Db_nn.Network.bottoms;
-          outputs = n.Db_nn.Network.tops;
-          in_shapes = [];
-          (* placeholder; [Annot.reannotate] computes the real shape *)
-          out_shape = Db_tensor.Shape.vector 1;
-          param_shapes = [];
-          fmt = None;
-          cost = Graph.zero_cost;
-        })
-      net.Db_nn.Network.nodes
-  in
-  Annot.reannotate ?fmt { Graph.graph_name = net.Db_nn.Network.net_name; nodes }
+  match fmt with
+  | None -> net
+  | Some _ ->
+      let stamp n = { n with Graph.fmt } in
+      { net with Graph.nodes = List.map stamp net.Graph.nodes }
 
 let fail fmt = Db_util.Error.failf_at ~component:"ir-lower" fmt
 
@@ -46,20 +31,6 @@ let backward_reference op ~bottom ~top =
   | Op.Act (Op.Sigmoid | Op.Tanh) | Op.Softmax -> top
   | _ -> bottom
 
-let placeholder ~node_name ~op ~inputs ~outputs =
-  {
-    Graph.id = 0;
-    node_name;
-    op;
-    inputs;
-    outputs;
-    in_shapes = [];
-    out_shape = Db_tensor.Shape.vector 1;
-    param_shapes = [];
-    fmt = None;
-    cost = Graph.zero_cost;
-  }
-
 (* Training-mode lowering: the raw (unfused) forward chain, a BP subgraph
    walking it in reverse, and one SGD update node per weighted layer.
    Gradient blobs are ["d:" ^ blob], weight-gradient vectors
@@ -68,24 +39,23 @@ let placeholder ~node_name ~op ~inputs ~outputs =
    single-top chains are supported — exactly the graphs the software
    [Db_train.Trainer] accepts. *)
 let lower_training ?fmt (net : Db_nn.Network.t) : Graph.t =
-  let g = lower ?fmt net in
-  let nodes = g.Graph.nodes in
+  let nodes = net.Graph.nodes in
   let input_blobs = Hashtbl.create 4 in
   List.iter
     (fun (n : Graph.node) ->
-      if Op.is_input n.Graph.op then
-        List.iter (fun top -> Hashtbl.replace input_blobs top ()) n.Graph.outputs)
+      if Op.is_input n.Graph.layer then
+        List.iter (fun top -> Hashtbl.replace input_blobs top ()) n.Graph.tops)
     nodes;
   let chain =
-    List.filter (fun (n : Graph.node) -> not (Op.is_input n.Graph.op)) nodes
+    List.filter (fun (n : Graph.node) -> not (Op.is_input n.Graph.layer)) nodes
   in
-  (match chain with [] -> fail "network %S has no trainable layers" g.Graph.graph_name | _ -> ());
+  (match chain with [] -> fail "network %S has no trainable layers" net.Graph.net_name | _ -> ());
   List.iter
     (fun (n : Graph.node) ->
-      if not (differentiable n.Graph.op) then
+      if not (differentiable n.Graph.layer) then
         fail "layer %S (%s) is not differentiable: cannot lower for training"
-          n.Graph.node_name (Op.name n.Graph.op);
-      match n.Graph.inputs, n.Graph.outputs with
+          n.Graph.node_name (Op.name n.Graph.layer);
+      match n.Graph.bottoms, n.Graph.tops with
       | [ _ ], [ _ ] -> ()
       | _ ->
           fail "layer %S is not single-bottom/single-top: training lowering \
@@ -94,14 +64,14 @@ let lower_training ?fmt (net : Db_nn.Network.t) : Graph.t =
     chain;
   let final_top =
     match List.rev chain with
-    | last :: _ -> List.hd last.Graph.outputs
+    | last :: _ -> List.hd last.Graph.tops
     | [] -> fail "empty chain"
   in
   let seed =
     let last = List.hd (List.rev chain) in
-    placeholder ~node_name:"grad:seed"
-      ~op:(Op.Input { shape = last.Graph.out_shape })
-      ~inputs:[] ~outputs:[ "d:" ^ final_top ]
+    Graph.node ~node_name:"grad:seed"
+      ~layer:(Op.Input { shape = last.Graph.out_shape })
+      ~bottoms:[] ~tops:[ "d:" ^ final_top ]
   in
   (* BP nodes, last layer first.  An op whose backward yields no input
      gradient (Associative) stops propagation: layers upstream of it get
@@ -112,22 +82,22 @@ let lower_training ?fmt (net : Db_nn.Network.t) : Graph.t =
       | (n : Graph.node) :: rest ->
           if not propagating then (acc, updated)
           else begin
-            let bottom = List.hd n.Graph.inputs
-            and top = List.hd n.Graph.outputs in
+            let bottom = List.hd n.Graph.bottoms
+            and top = List.hd n.Graph.tops in
             let dy = "d:" ^ top in
-            let reference = backward_reference n.Graph.op ~bottom ~top in
+            let reference = backward_reference n.Graph.layer ~bottom ~top in
             let acc, updated =
-              if Op.is_weighted n.Graph.op then
-                ( placeholder
+              if Op.is_weighted n.Graph.layer then
+                ( Graph.node
                     ~node_name:("bp_dw:" ^ n.Graph.node_name)
-                    ~op:(Op.Backward { fwd = n.Graph.op; wrt = Op.Wrt_params })
-                    ~inputs:[ dy; bottom ]
-                    ~outputs:[ "g:" ^ n.Graph.node_name ]
+                    ~layer:(Op.Backward { fwd = n.Graph.layer; wrt = Op.Wrt_params })
+                    ~bottoms:[ dy; bottom ]
+                    ~tops:[ "g:" ^ n.Graph.node_name ]
                   :: acc,
                   n.Graph.node_name :: updated )
               else (acc, updated)
             in
-            let stops = match n.Graph.op with Op.Associative _ -> true | _ -> false in
+            let stops = match n.Graph.layer with Op.Associative _ -> true | _ -> false in
             if stops then (acc, updated)
             else if Hashtbl.mem input_blobs bottom then
               (* The gradient w.r.t. the network input is never consumed;
@@ -135,11 +105,11 @@ let lower_training ?fmt (net : Db_nn.Network.t) : Graph.t =
               go acc updated false rest
             else
               go
-                (placeholder
+                (Graph.node
                    ~node_name:("bp_dx:" ^ n.Graph.node_name)
-                   ~op:(Op.Backward { fwd = n.Graph.op; wrt = Op.Wrt_input })
-                   ~inputs:[ dy; reference ]
-                   ~outputs:[ "d:" ^ bottom ]
+                   ~layer:(Op.Backward { fwd = n.Graph.layer; wrt = Op.Wrt_input })
+                   ~bottoms:[ dy; reference ]
+                   ~tops:[ "d:" ^ bottom ]
                  :: acc)
                 updated true rest
           end
@@ -152,16 +122,16 @@ let lower_training ?fmt (net : Db_nn.Network.t) : Graph.t =
       (fun (n : Graph.node) ->
         if List.mem n.Graph.node_name updated then
           Some
-            (placeholder
+            (Graph.node
                ~node_name:("up:" ^ n.Graph.node_name)
-               ~op:(Op.Sgd_update { target = n.Graph.node_name })
-               ~inputs:[ "g:" ^ n.Graph.node_name ]
-               ~outputs:[ "w:" ^ n.Graph.node_name ])
+               ~layer:(Op.Sgd_update { target = n.Graph.node_name })
+               ~bottoms:[ "g:" ^ n.Graph.node_name ]
+               ~tops:[ "w:" ^ n.Graph.node_name ])
         else None)
       chain
   in
-  Annot.reannotate ?fmt
+  Graph.reannotate ?fmt
     {
-      Graph.graph_name = g.Graph.graph_name ^ ":train";
+      Graph.net_name = net.Graph.net_name ^ ":train";
       nodes = nodes @ (seed :: bp_nodes) @ up_nodes;
     }

@@ -1,7 +1,7 @@
 (* The pass manager and the initial optimization pass set.  Each pass is
    a named graph-to-graph function; [run_passes] re-verifies the graph
    after every pass and wraps each in a [Db_obs] span so pass time shows
-   up in traces.  Structural passes end with [Annot.reannotate], so the
+   up in traces.  Structural passes end with [Graph.reannotate], so the
    attributes the verifier checks are always freshly derived. *)
 
 type pass = { pass_name : string; run : Graph.t -> Graph.t }
@@ -9,7 +9,7 @@ type pass = { pass_name : string; run : Graph.t -> Graph.t }
 let fail fmt = Db_util.Error.failf_at ~component:"ir-pass" fmt
 
 (* Recompute shapes/params/costs and renumber ids. *)
-let annotate = { pass_name = "annotate"; run = Annot.reannotate ?fmt:None }
+let annotate = { pass_name = "annotate"; run = Graph.reannotate ?fmt:None }
 
 (* Dropout is the identity at inference ([Ops.dropout_inference] copies
    its input), so dropout nodes are removed and their consumers rewired
@@ -24,17 +24,17 @@ let elide_dropout =
       List.rev
         (List.fold_left
            (fun acc (n : Graph.node) ->
-             let inputs = List.map resolve n.Graph.inputs in
-             match n.Graph.op, inputs with
+             let bottoms = List.map resolve n.Graph.bottoms in
+             match n.Graph.layer, bottoms with
              | Op.Dropout _, [ src ] ->
                  List.iter
                    (fun top -> Hashtbl.replace subst top src)
-                   n.Graph.outputs;
+                   n.Graph.tops;
                  acc
-             | _ -> { n with Graph.inputs } :: acc)
+             | _ -> { n with Graph.bottoms } :: acc)
            [] g.Graph.nodes)
     in
-    Annot.reannotate { g with Graph.nodes }
+    Graph.reannotate { g with Graph.nodes }
   in
   { pass_name = "elide-dropout"; run }
 
@@ -51,22 +51,22 @@ let fold_activations =
           (fun b ->
             Hashtbl.replace consumer_count b
               (1 + Option.value ~default:0 (Hashtbl.find_opt consumer_count b)))
-          n.Graph.inputs)
+          n.Graph.bottoms)
       g.Graph.nodes;
     (* producer-node-name -> activation node to absorb *)
     let fusions : (string, Graph.node) Hashtbl.t = Hashtbl.create 8 in
     let absorbed : (string, unit) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun (act_node : Graph.node) ->
-        match act_node.Graph.op, act_node.Graph.inputs with
+        match act_node.Graph.layer, act_node.Graph.bottoms with
         | Op.Act _, [ blob ] -> begin
             match Graph.producer_opt g blob with
             | Some p
-              when (match p.Graph.op with
+              when (match p.Graph.layer with
                    | Op.Conv { fused = None; _ } | Op.Fc { fused = None; _ } ->
                        true
                    | _ -> false)
-                   && p.Graph.outputs = [ blob ]
+                   && p.Graph.tops = [ blob ]
                    && Hashtbl.find_opt consumer_count blob = Some 1
                    && not (Hashtbl.mem fusions p.Graph.node_name) ->
                 Hashtbl.replace fusions p.Graph.node_name act_node;
@@ -83,20 +83,20 @@ let fold_activations =
             match Hashtbl.find_opt fusions n.Graph.node_name with
             | Some act_node ->
                 let act =
-                  match act_node.Graph.op with
+                  match act_node.Graph.layer with
                   | Op.Act a -> a
                   | _ -> fail "fold-activations: non-activation absorbed"
                 in
                 Some
                   {
                     n with
-                    Graph.op = Op.with_fused n.Graph.op act;
-                    outputs = act_node.Graph.outputs;
+                    Graph.layer = Op.with_fused n.Graph.layer act;
+                    tops = act_node.Graph.tops;
                   }
             | None -> Some n)
         g.Graph.nodes
     in
-    Annot.reannotate { g with Graph.nodes }
+    Graph.reannotate { g with Graph.nodes }
   in
   { pass_name = "fold-activations"; run }
 
@@ -113,31 +113,31 @@ let canonicalize_concat =
             (fun b ->
               Hashtbl.replace consumer_count b
                 (1 + Option.value ~default:0 (Hashtbl.find_opt consumer_count b)))
-            n.Graph.inputs)
+            n.Graph.bottoms)
         g.Graph.nodes;
       let spliced : (string, unit) Hashtbl.t = Hashtbl.create 4 in
       let changed = ref false in
       let splice (child : Graph.node) =
-        let inputs =
+        let bottoms =
           List.concat_map
             (fun blob ->
               match Graph.producer_opt g blob with
               | Some p
-                when (match p.Graph.op with Op.Concat -> true | _ -> false)
-                     && p.Graph.outputs = [ blob ]
+                when (match p.Graph.layer with Op.Concat -> true | _ -> false)
+                     && p.Graph.tops = [ blob ]
                      && Hashtbl.find_opt consumer_count blob = Some 1 ->
                   changed := true;
                   Hashtbl.replace spliced p.Graph.node_name ();
-                  p.Graph.inputs
+                  p.Graph.bottoms
               | Some _ | None -> [ blob ])
-            child.Graph.inputs
+            child.Graph.bottoms
         in
-        { child with Graph.inputs }
+        { child with Graph.bottoms }
       in
       let nodes =
         List.map
           (fun (n : Graph.node) ->
-            match n.Graph.op with Op.Concat -> splice n | _ -> n)
+            match n.Graph.layer with Op.Concat -> splice n | _ -> n)
           g.Graph.nodes
       in
       let nodes =
@@ -149,7 +149,7 @@ let canonicalize_concat =
       let changed, g = step g in
       if changed then fixpoint g else g
     in
-    Annot.reannotate (fixpoint g)
+    Graph.reannotate (fixpoint g)
   in
   { pass_name = "canonicalize-concat"; run }
 
@@ -171,11 +171,3 @@ let run_passes ?(verify = true) (g : Graph.t) passes =
 
 (* The canonical optimized form: lower, then the default pipeline. *)
 let optimize ?(verify = true) g = run_passes ~verify g default_pipeline
-
-(* Training consumers need the raw operator boundaries: activation fusion
-   would hide the per-op intermediates the backward pass replays.  Dropout
-   stays too — it is *not* the identity during training. *)
-let training_pipeline = [ annotate ]
-
-let lower_for_training ?fmt ?(verify = true) net =
-  run_passes ~verify (Lower.lower ?fmt net) training_pipeline

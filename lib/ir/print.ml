@@ -12,18 +12,18 @@ let fmt_suffix = function
   | None -> ""
 
 let pp fmt (g : Graph.t) =
-  Format.fprintf fmt "graph %S (%d nodes)@." g.Graph.graph_name
+  Format.fprintf fmt "graph %S (%d nodes)@." g.Graph.net_name
     (List.length g.Graph.nodes);
   List.iter
     (fun (n : Graph.node) ->
       Format.fprintf fmt "  n%-3d %-14s %-36s [%s] -> [%s]  macs=%d ops=%d params=%d in=%d out=%d%s@."
         n.Graph.id n.Graph.node_name
-        (Op.to_string n.Graph.op)
-        (String.concat ", " n.Graph.inputs)
+        (Op.to_string n.Graph.layer)
+        (String.concat ", " n.Graph.bottoms)
         (String.concat ", "
            (List.map
               (fun top -> top ^ ":" ^ Shape.to_string n.Graph.out_shape)
-              n.Graph.outputs))
+              n.Graph.tops))
         n.Graph.cost.Graph.macs n.Graph.cost.Graph.other_ops
         n.Graph.cost.Graph.param_words n.Graph.cost.Graph.input_words
         n.Graph.cost.Graph.output_words
@@ -65,10 +65,10 @@ let node_to_json (n : Graph.node) =
     [
       ("id", string_of_int n.Graph.id);
       ("name", json_string n.Graph.node_name);
-      ("op", json_string (Op.to_string n.Graph.op));
-      ("kind", json_string (Op.name n.Graph.op));
-      ("inputs", json_string_list n.Graph.inputs);
-      ("outputs", json_string_list n.Graph.outputs);
+      ("op", json_string (Op.to_string n.Graph.layer));
+      ("kind", json_string (Op.name n.Graph.layer));
+      ("inputs", json_string_list n.Graph.bottoms);
+      ("outputs", json_string_list n.Graph.tops);
       ( "in_shapes",
         "[" ^ String.concat "," (List.map json_shape n.Graph.in_shapes) ^ "]" );
       ("out_shape", json_shape n.Graph.out_shape);
@@ -97,6 +97,6 @@ let node_to_json (n : Graph.node) =
 
 let to_json (g : Graph.t) =
   Printf.sprintf "{\"name\":%s,\"nodes\":[%s],\"outputs\":%s}"
-    (json_string g.Graph.graph_name)
+    (json_string g.Graph.net_name)
     (String.concat "," (List.map node_to_json g.Graph.nodes))
     (json_string_list (Graph.output_blobs g))

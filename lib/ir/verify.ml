@@ -28,9 +28,9 @@ let run (g : Graph.t) : diag list =
   let add ?node code fmt =
     Format.kasprintf (fun message -> diags := { code; node; message } :: !diags) fmt
   in
-  if g.Graph.nodes = [] then add "DB-IR001" "graph %S has no nodes" g.Graph.graph_name
-  else if not (List.exists (fun n -> Op.is_input n.Graph.op) g.Graph.nodes) then
-    add "DB-IR001" "graph %S has no input node" g.Graph.graph_name;
+  if g.Graph.nodes = [] then add "DB-IR001" "graph %S has no nodes" g.Graph.net_name
+  else if not (List.exists (fun n -> Op.is_input n.Graph.layer) g.Graph.nodes) then
+    add "DB-IR001" "graph %S has no input node" g.Graph.net_name;
   (* Producer position of every blob (first producer wins; duplicates are
      flagged separately as DB-IR003). *)
   let producer_pos : (string, int) Hashtbl.t = Hashtbl.create 32 in
@@ -39,7 +39,7 @@ let run (g : Graph.t) : diag list =
       List.iter
         (fun top ->
           if not (Hashtbl.mem producer_pos top) then Hashtbl.add producer_pos top i)
-        n.Graph.outputs)
+        n.Graph.tops)
     g.Graph.nodes;
   let seen_names = Hashtbl.create 32 and seen_tops = Hashtbl.create 32 in
   let blob_shape : (string, Shape.t) Hashtbl.t = Hashtbl.create 32 in
@@ -56,15 +56,15 @@ let run (g : Graph.t) : diag list =
           if Hashtbl.mem seen_tops top then
             add ~node:name "DB-IR003" "duplicate output blob %S" top;
           Hashtbl.replace seen_tops top ())
-        n.Graph.outputs;
-      let arity = List.length n.Graph.inputs in
-      (match Op.expected_arity n.Graph.op with
+        n.Graph.tops;
+      let arity = List.length n.Graph.bottoms in
+      (match Op.expected_arity n.Graph.layer with
       | `Exactly k when arity <> k ->
           add ~node:name "DB-IR006" "%s expects %d input(s), got %d"
-            (Op.name n.Graph.op) k arity
+            (Op.name n.Graph.layer) k arity
       | `At_least k when arity < k ->
           add ~node:name "DB-IR006" "%s expects at least %d inputs, got %d"
-            (Op.name n.Graph.op) k arity
+            (Op.name n.Graph.layer) k arity
       | `Exactly _ | `At_least _ -> ());
       if List.length n.Graph.in_shapes <> arity then
         add ~node:name "DB-IR007" "%d inputs but %d annotated input shapes" arity
@@ -82,12 +82,12 @@ let run (g : Graph.t) : diag list =
                   blob p i;
                 false
             | Some _ -> Hashtbl.mem blob_shape blob)
-          n.Graph.inputs
+          n.Graph.bottoms
         && List.length n.Graph.in_shapes = arity
       in
       (* Attribute checks only make sense once the edges resolve. *)
       if edges_ok then begin
-        let expected_in = List.map (Hashtbl.find blob_shape) n.Graph.inputs in
+        let expected_in = List.map (Hashtbl.find blob_shape) n.Graph.bottoms in
         List.iteri
           (fun j (annotated, expected) ->
             if not (Shape.equal annotated expected) then
@@ -95,7 +95,7 @@ let run (g : Graph.t) : diag list =
                 "input %d annotated shape %s, producer yields %s" j
                 (Shape.to_string annotated) (Shape.to_string expected))
           (List.combine n.Graph.in_shapes expected_in);
-        match Annot.out_shape n.Graph.op ~in_shapes:expected_in with
+        match Db_nn.Annot.out_shape n.Graph.layer ~in_shapes:expected_in with
         | exception Db_util.Error.Deepburning_error msg ->
             add ~node:name "DB-IR008" "%s" msg
         | expected_out ->
@@ -104,7 +104,7 @@ let run (g : Graph.t) : diag list =
                 (Shape.to_string n.Graph.out_shape)
                 (Shape.to_string expected_out);
             let expected_params =
-              Annot.param_shapes n.Graph.op ~in_shapes:expected_in
+              Db_nn.Annot.param_shapes n.Graph.layer ~in_shapes:expected_in
             in
             if
               not
@@ -113,7 +113,7 @@ let run (g : Graph.t) : diag list =
             then
               add ~node:name "DB-IR009" "annotated parameter shapes disagree";
             let expected_cost =
-              Annot.cost n.Graph.op ~in_shapes:expected_in ~out_shape:expected_out
+              Db_nn.Annot.cost n.Graph.layer ~in_shapes:expected_in ~out_shape:expected_out
                 ~param_shapes:expected_params
             in
             if n.Graph.cost <> expected_cost then
@@ -127,7 +127,7 @@ let run (g : Graph.t) : diag list =
         (fun top ->
           if not (Hashtbl.mem blob_shape top) then
             Hashtbl.add blob_shape top n.Graph.out_shape)
-        n.Graph.outputs)
+        n.Graph.tops)
     g.Graph.nodes;
   List.rev !diags
 
@@ -137,4 +137,4 @@ let check_exn g =
   | first :: _ as diags ->
       Db_util.Error.failf_at ~component:"ir-verify"
         "graph %S failed verification with %d diagnostic(s), first: %s"
-        g.Graph.graph_name (List.length diags) (diag_to_string first)
+        g.Graph.net_name (List.length diags) (diag_to_string first)

@@ -39,11 +39,11 @@ let replayed_blobs (g : Graph.t) =
       List.iter
         (fun top ->
           Hashtbl.replace blob_words top (Shape.numel n.Graph.out_shape))
-        n.Graph.outputs);
+        n.Graph.tops);
   let seen = Hashtbl.create 16 in
   let refs = ref [] in
   Graph.iter g (fun n ->
-      match n.Graph.op, n.Graph.inputs with
+      match n.Graph.layer, n.Graph.bottoms with
       | Op.Backward _, [ _dy; reference ] ->
           if not (Hashtbl.mem seen reference) then begin
             Hashtbl.replace seen reference ();

@@ -23,13 +23,13 @@ let consumer_plan (g : Graph.t) ~port_width blob shape =
   if Shape.rank shape <> 3 then None
   else begin
     let consumer =
-      List.find_opt (fun node -> List.mem blob node.Graph.inputs) g.Graph.nodes
+      List.find_opt (fun node -> List.mem blob node.Graph.bottoms) g.Graph.nodes
     in
     match consumer with
     | Some node -> begin
-        match node.Graph.op with
+        match node.Graph.layer with
         | Op.Conv _ | Op.Pool _ -> begin
-            match Op.window node.Graph.op with
+            match Op.window node.Graph.layer with
             | Some (kernel, stride) ->
                 Some
                   (Tiling.decide
@@ -61,7 +61,7 @@ let build ?(bytes_per_word = 2) ~port_width (g : Graph.t) =
           alloc ("feature:" ^ top)
             (Shape.numel node.Graph.out_shape)
             (consumer_plan g ~port_width top node.Graph.out_shape))
-        node.Graph.outputs);
+        node.Graph.tops);
   (* Weight tensors, per node, following the annotated parameter shapes. *)
   Graph.iter g (fun node ->
       List.iteri

@@ -4,12 +4,8 @@ let input shape =
   {
     nodes =
       [
-        {
-          Network.node_name = "input";
-          layer = Layer.Input { shape };
-          bottoms = [];
-          tops = [ "data" ];
-        };
+        Network.node ~node_name:"input" ~layer:(Layer.Input { shape })
+          ~bottoms:[] ~tops:[ "data" ];
       ];
     top = "data";
     counter = 0;
@@ -20,12 +16,7 @@ let append prefix layer t =
   let name = Printf.sprintf "%s%d" prefix counter in
   {
     nodes =
-      {
-        Network.node_name = name;
-        layer;
-        bottoms = [ t.top ];
-        tops = [ name ];
-      }
+      Network.node ~node_name:name ~layer ~bottoms:[ t.top ] ~tops:[ name ]
       :: t.nodes;
     top = name;
     counter;

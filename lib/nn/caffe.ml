@@ -182,7 +182,7 @@ let import doc =
           | [] -> [ name ]  (* Caffe's in-place default: top = layer name *)
           | tops -> tops
         in
-        { Network.node_name = name; layer; bottoms; tops })
+        Network.node ~node_name:name ~layer ~bottoms ~tops)
       layer_msgs
   in
   Network.create ~name:net_name nodes

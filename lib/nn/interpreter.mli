@@ -25,7 +25,7 @@ val eval_layer :
   Db_tensor.Tensor.t
 (** One layer's semantics, including a fused activation (applied to the
     base op's result exactly as the standalone activation node would);
-    reused by the IR interpreter, the trainer and the tests. *)
+    reused by the trainer and the tests. *)
 
 val associative_encode :
   cells_per_dim:int -> active_cells:int -> Db_tensor.Tensor.t -> Db_tensor.Tensor.t

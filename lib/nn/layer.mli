@@ -107,6 +107,26 @@ val window : t -> (int * int) option
 val expected_arity : t -> [ `Exactly of int | `At_least of int ]
 (** Number of bottoms the op consumes. *)
 
+val output_shape : t -> Db_tensor.Shape.t list -> Db_tensor.Shape.t
+(** Output shape of one inference op given its bottom shapes, checking the
+    op's constraints (kernel fits inside input, channel divisibility for
+    groups, matching spatial extents for [Concat], ...).  Raises
+    {!Db_util.Error.Deepburning_error} (component [shape-infer]) on any
+    inconsistency. *)
+
+val param_shapes : t -> bottom:Db_tensor.Shape.t -> Db_tensor.Shape.t list
+(** Shapes the op's parameter tensors must have given its bottom shape;
+    [[]] for unweighted ops.  Layouts:
+    - [Conv]      : [weights (Cout, Cin/group, K, K)] then optional [bias (Cout)]
+    - [Fc]        : [weights (Nout, Nin)] then optional [bias (Nout)]
+    - [Recurrent] : [w_in (Nout, Nin)], [w_rec (Nout, Nout)], optional [bias (Nout)] *)
+
+val costs :
+  t -> bottoms:Db_tensor.Shape.t list -> output:Db_tensor.Shape.t -> int * int
+(** [(macs, other_ops)] of one forward pass of an inference op, given its
+    bottom and output shapes; a fused activation adds one non-MAC op per
+    output element. *)
+
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

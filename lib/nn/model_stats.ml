@@ -1,5 +1,3 @@
-module Shape = Db_tensor.Shape
-
 type layer_stat = {
   stat_node : string;
   stat_layer : Layer.t;
@@ -18,97 +16,24 @@ type t = {
   total_weight_bytes : int;
 }
 
-let layer_costs layer ~bottoms ~output =
-  let out_n = Shape.numel output in
-  let macs, other_ops =
-    match layer with
-    | Layer.Input _ -> (0, 0)
-    | Layer.Conv { kernel_size; group; _ } -> begin
-        match bottoms with
-        | [ bottom ] ->
-            let cin_g = Shape.channels bottom / group in
-            (out_n * cin_g * kernel_size * kernel_size, 0)
-        | [] | _ :: _ :: _ -> (0, 0)
-      end
-    | Layer.Pool { kernel_size; _ } -> (0, out_n * kernel_size * kernel_size)
-    | Layer.Global_pool _ -> begin
-        match bottoms with [ b ] -> (0, Shape.numel b) | [] | _ :: _ :: _ -> (0, 0)
-      end
-    | Layer.Fc _ -> begin
-        match bottoms with
-        | [ b ] -> (out_n * Shape.numel b, 0)
-        | [] | _ :: _ :: _ -> (0, 0)
-      end
-    | Layer.Act _ -> (0, out_n)
-    | Layer.Lrn { local_size; _ } -> (out_n * local_size, 2 * out_n)
-    | Layer.Lcn { window; _ } -> (2 * out_n * window * window, 2 * out_n)
-    | Layer.Dropout _ -> (0, 0)
-    | Layer.Softmax -> (0, 3 * out_n)
-    | Layer.Recurrent { num_output; steps; _ } -> begin
-        match bottoms with
-        | [ b ] ->
-            ( steps * ((num_output * Shape.numel b) + (num_output * num_output)),
-              steps * num_output )
-        | [] | _ :: _ :: _ -> (0, 0)
-      end
-    | Layer.Associative _ -> begin
-        match bottoms with [ b ] -> (0, Shape.numel b) | [] | _ :: _ :: _ -> (0, 0)
-      end
-    | Layer.Concat -> (0, 0)
-    | Layer.Classifier { top_k } -> begin
-        (* k-sorter comparator count: n log k comparisons, roughly. *)
-        match bottoms with
-        | [ b ] ->
-            let n = Shape.numel b in
-            let log_k = int_of_float (Float.ceil (log (float_of_int (top_k + 1)) /. log 2.0)) in
-            (0, n * Stdlib.max 1 log_k)
-        | [] | _ :: _ :: _ -> (0, 0)
-      end
-    | Layer.Backward _ | Layer.Sgd_update _ -> Layer.reject_training_op layer
-  in
-  (* A fused activation adds one non-MAC op per output element, exactly
-     what the standalone activation node cost. *)
-  match Layer.fused_activation layer with
-  | Some _ -> (macs, other_ops + out_n)
-  | None -> (macs, other_ops)
-
 let compute ?(bytes_per_word = 2) net =
-  let shapes = Shape_infer.infer net in
   let per_layer =
     List.filter_map
       (fun node ->
         match node.Network.layer with
         | Layer.Input _ -> None
         | layer ->
-            let bottoms =
-              List.map (Shape_infer.blob_shape shapes) node.Network.bottoms
-            in
-            let output =
-              Shape_infer.layer_output_shape layer bottoms
-            in
-            let macs, other_ops = layer_costs layer ~bottoms ~output in
-            let param_count =
-              match bottoms with
-              | [ bottom ] ->
-                  List.fold_left
-                    (fun acc s -> acc + Shape.numel s)
-                    0
-                    (Params.expected_shapes layer ~bottom)
-              | [] | _ :: _ :: _ -> 0
-            in
-            let input_numel =
-              List.fold_left (fun acc s -> acc + Shape.numel s) 0 bottoms
-            in
+            let c = node.Network.cost in
             Some
               {
                 stat_node = node.Network.node_name;
                 stat_layer = layer;
-                macs;
-                other_ops;
-                param_count;
-                input_bytes = input_numel * bytes_per_word;
-                output_bytes = Shape.numel output * bytes_per_word;
-                weight_bytes = param_count * bytes_per_word;
+                macs = c.Network.macs;
+                other_ops = c.Network.other_ops;
+                param_count = c.Network.param_words;
+                input_bytes = c.Network.input_words * bytes_per_word;
+                output_bytes = c.Network.output_words * bytes_per_word;
+                weight_bytes = c.Network.param_words * bytes_per_word;
               })
       net.Network.nodes
   in

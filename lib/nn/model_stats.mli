@@ -19,18 +19,9 @@ type t = {
   total_weight_bytes : int;
 }
 
-val layer_costs :
-  Layer.t ->
-  bottoms:Db_tensor.Shape.t list ->
-  output:Db_tensor.Shape.t ->
-  int * int
-(** [(macs, other_ops)] of one forward pass of a single layer, given its
-    bottom and output shapes; a fused activation adds one non-MAC op per
-    output element.  The single source of the per-layer cost formulas;
-    [Db_ir] node annotation reuses it. *)
-
 val compute : ?bytes_per_word:int -> Network.t -> t
-(** Default [bytes_per_word] is 2 (the 16-bit datapath format). *)
+(** A projection of the nodes' annotated costs, input nodes excluded.
+    Default [bytes_per_word] is 2 (the 16-bit datapath format). *)
 
 type decomposition = {
   has_conv : bool;

@@ -1,21 +1,49 @@
+module Shape = Db_tensor.Shape
+
+type cost = Annot.cost = {
+  macs : int;
+  other_ops : int;
+  param_words : int;
+  input_words : int;
+  output_words : int;
+}
+
 type node = {
+  id : int;
   node_name : string;
   layer : Layer.t;
   bottoms : string list;
   tops : string list;
+  in_shapes : Shape.t list;
+  out_shape : Shape.t;
+  param_shapes : Shape.t list;
+  fmt : Db_fixed.Fixed.format option;
+  cost : cost;
 }
 
 type t = { net_name : string; nodes : node list }
 
 let fail fmt = Db_util.Error.failf_at ~component:"network" fmt
 
-let check_unique what names =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-      if Hashtbl.mem tbl n then fail "duplicate %s %S" what n
-      else Hashtbl.add tbl n ())
-    names
+let node ~node_name ~layer ~bottoms ~tops =
+  {
+    id = 0;
+    node_name;
+    layer;
+    bottoms;
+    tops;
+    in_shapes = [];
+    out_shape = Shape.vector 1;
+    param_shapes = [];
+    fmt = None;
+    cost = Annot.zero_cost;
+  }
+
+let annotate id n in_shapes =
+  let out_shape = Annot.out_shape n.layer ~in_shapes in
+  let param_shapes = Annot.param_shapes n.layer ~in_shapes in
+  let cost = Annot.cost n.layer ~in_shapes ~out_shape ~param_shapes in
+  { n with id; in_shapes; out_shape; param_shapes; cost }
 
 (* Fusion and training ops are IR-only extensions of the vocabulary: a
    frontend network describes an inference model as written. *)
@@ -38,82 +66,96 @@ let check_node node =
         kind k n
   | `Exactly _ | `At_least _ -> ()
 
-let topo_sort nodes =
-  (* Kahn's algorithm over blob dependencies. *)
-  let producer = Hashtbl.create 16 in
-  List.iter
-    (fun node -> List.iter (fun top -> Hashtbl.replace producer top node.node_name) node.tops)
-    nodes;
-  let by_name = Hashtbl.create 16 in
-  List.iter (fun node -> Hashtbl.replace by_name node.node_name node) nodes;
-  let deps node =
-    List.filter_map
-      (fun bottom ->
-        match Hashtbl.find_opt producer bottom with
-        | Some producer_name when producer_name <> node.node_name -> Some producer_name
-        | Some _ | None -> None)
-      node.bottoms
-  in
-  let in_degree = Hashtbl.create 16 in
-  List.iter
-    (fun node -> Hashtbl.replace in_degree node.node_name (List.length (deps node)))
-    nodes;
-  let dependants = Hashtbl.create 16 in
-  List.iter
-    (fun node ->
-      List.iter
-        (fun d ->
-          let existing = Option.value ~default:[] (Hashtbl.find_opt dependants d) in
-          Hashtbl.replace dependants d (node.node_name :: existing))
-        (deps node))
-    nodes;
-  let ready =
-    Queue.of_seq
-      (List.to_seq
-         (List.filter_map
-            (fun node ->
-              if Hashtbl.find in_degree node.node_name = 0 then Some node.node_name
-              else None)
-            nodes))
-  in
-  let order = ref [] in
-  while not (Queue.is_empty ready) do
-    let name = Queue.pop ready in
-    order := name :: !order;
-    let followers = Option.value ~default:[] (Hashtbl.find_opt dependants name) in
-    List.iter
-      (fun f ->
-        let d = Hashtbl.find in_degree f - 1 in
-        Hashtbl.replace in_degree f d;
-        if d = 0 then Queue.push f ready)
-      followers
-  done;
-  if List.length !order <> List.length nodes then
-    fail "the network graph contains a cycle over blobs";
-  List.rev_map (Hashtbl.find by_name) !order
-
 let create ~name nodes =
   if nodes = [] then fail "network %S has no layers" name;
-  check_unique "layer name" (List.map (fun n -> n.node_name) nodes);
-  check_unique "top blob" (List.concat_map (fun n -> n.tops) nodes);
-  List.iter check_node nodes;
-  let produced = Hashtbl.create 16 in
-  List.iter
-    (fun node -> List.iter (fun top -> Hashtbl.replace produced top ()) node.tops)
-    nodes;
-  List.iter
+  let nodes = Array.of_list nodes in
+  let n = Array.length nodes in
+  let names = Hashtbl.create n in
+  Array.iter
     (fun node ->
-      List.iter
-        (fun bottom ->
-          if not (Hashtbl.mem produced bottom) then
-            fail "layer %S consumes unknown blob %S" node.node_name bottom)
-        node.bottoms)
+      if Hashtbl.mem names node.node_name then
+        fail "duplicate layer name %S" node.node_name;
+      Hashtbl.add names node.node_name ())
     nodes;
-  if not (List.exists (fun n -> Layer.is_input n.layer) nodes) then
+  (* The one blob table: blob -> index of its producing node. *)
+  let producer = Hashtbl.create (2 * n) in
+  Array.iteri
+    (fun i node ->
+      List.iter
+        (fun top ->
+          if Hashtbl.mem producer top then fail "duplicate top blob %S" top;
+          Hashtbl.add producer top i)
+        node.tops)
+    nodes;
+  Array.iter check_node nodes;
+  (* [sources.(i)]: the producer of each of node [i]'s bottoms, in order. *)
+  let sources =
+    Array.map
+      (fun node ->
+        List.map
+          (fun bottom ->
+            match Hashtbl.find_opt producer bottom with
+            | Some p -> p
+            | None ->
+                fail "layer %S consumes unknown blob %S" node.node_name bottom)
+          node.bottoms)
+      nodes
+  in
+  if not (Array.exists (fun node -> Layer.is_input node.layer) nodes) then
     fail "network %S has no input layer" name;
-  { net_name = name; nodes = topo_sort nodes }
+  (* Kahn's algorithm over blob dependencies, annotating each node as it
+     is scheduled: its producers are annotated by then. *)
+  let in_degree = Array.map List.length sources in
+  let dependants = Array.make n [] in
+  Array.iteri
+    (fun i srcs -> List.iter (fun p -> dependants.(p) <- i :: dependants.(p)) srcs)
+    sources;
+  let ready = Queue.create () in
+  Array.iteri (fun i d -> if d = 0 then Queue.push i ready) in_degree;
+  let order = ref [] and id = ref 0 in
+  while not (Queue.is_empty ready) do
+    let i = Queue.pop ready in
+    let in_shapes = List.map (fun p -> nodes.(p).out_shape) sources.(i) in
+    let node = annotate !id nodes.(i) in_shapes in
+    nodes.(i) <- node;
+    order := node :: !order;
+    incr id;
+    List.iter
+      (fun f ->
+        in_degree.(f) <- in_degree.(f) - 1;
+        if in_degree.(f) = 0 then Queue.push f ready)
+      dependants.(i)
+  done;
+  if !id <> n then fail "the network graph contains a cycle over blobs";
+  { net_name = name; nodes = List.rev !order }
 
-let find_node t name = List.find (fun n -> n.node_name = name) t.nodes
+let reannotate ?fmt t =
+  let shapes = Hashtbl.create 64 in
+  let blob_shape b =
+    match Hashtbl.find_opt shapes b with
+    | Some s -> s
+    | None ->
+        Db_util.Error.failf_at ~component:"ir-annot"
+          "graph %S: blob %S used before being produced" t.net_name b
+  in
+  let nodes =
+    List.mapi
+      (fun id n ->
+        let n = annotate id n (List.map blob_shape n.bottoms) in
+        List.iter (fun top -> Hashtbl.replace shapes top n.out_shape) n.tops;
+        match fmt with Some _ -> { n with fmt } | None -> n)
+      t.nodes
+  in
+  { t with nodes }
+
+let find_node_opt t name = List.find_opt (fun n -> n.node_name = name) t.nodes
+
+let find_node t name =
+  match find_node_opt t name with
+  | Some n -> n
+  | None -> fail "network %S has no node %S" t.net_name name
+
+let producer_opt t blob = List.find_opt (fun n -> List.mem blob n.tops) t.nodes
 
 let input_nodes t = List.filter (fun n -> Layer.is_input n.layer) t.nodes
 
@@ -129,11 +171,18 @@ let output_blobs t =
 let layer_count t =
   List.length (List.filter (fun n -> not (Layer.is_input n.layer)) t.nodes)
 
+let last_node t =
+  match List.rev t.nodes with [] -> None | last :: _ -> Some last
+
 let iter t f = List.iter f t.nodes
 
 let fold t ~init ~f = List.fold_left f init t.nodes
 
 let has_layer t pred = List.exists (fun n -> pred n.layer) t.nodes
+
+let total_macs t = fold t ~init:0 ~f:(fun acc n -> acc + n.cost.macs)
+
+let total_params t = fold t ~init:0 ~f:(fun acc n -> acc + n.cost.param_words)
 
 let pp fmt t =
   Format.fprintf fmt "network %S:@." t.net_name;

@@ -13,26 +13,6 @@ let mem t name = Hashtbl.mem t name
 
 let fail fmt = Db_util.Error.failf_at ~component:"params" fmt
 
-let expected_shapes layer ~bottom =
-  match layer with
-  | Layer.Conv { num_output; kernel_size; group; bias; _ } ->
-      let cin_g = Shape.channels bottom / group in
-      let w = Shape.of_list [ num_output; cin_g; kernel_size; kernel_size ] in
-      if bias then [ w; Shape.vector num_output ] else [ w ]
-  | Layer.Fc { num_output; bias; _ } ->
-      let w = Shape.of_list [ num_output; Shape.numel bottom ] in
-      if bias then [ w; Shape.vector num_output ] else [ w ]
-  | Layer.Recurrent { num_output; bias; _ } ->
-      let w_in = Shape.of_list [ num_output; Shape.numel bottom ] in
-      let w_rec = Shape.of_list [ num_output; num_output ] in
-      if bias then [ w_in; w_rec; Shape.vector num_output ]
-      else [ w_in; w_rec ]
-  | Layer.Input _ | Layer.Pool _ | Layer.Global_pool _ | Layer.Act _
-  | Layer.Lrn _ | Layer.Lcn _ | Layer.Dropout _ | Layer.Softmax
-  | Layer.Associative _ | Layer.Concat | Layer.Classifier _ ->
-      []
-  | Layer.Backward _ | Layer.Sgd_update _ -> Layer.reject_training_op layer
-
 let fan_in_out shape =
   match Shape.to_list shape with
   | [ nout; nin ] -> (nin, nout)
@@ -41,17 +21,10 @@ let fan_in_out shape =
       let n = List.fold_left ( * ) 1 dims in
       (n, n)
 
-let with_bottoms net f =
-  let shapes = Shape_infer.infer net in
-  Network.iter net (fun node ->
-      match node.Network.bottoms with
-      | [ bottom ] -> f node (Shape_infer.blob_shape shapes bottom)
-      | [] | _ :: _ :: _ -> ())
-
 let init_xavier rng net =
   let t = create () in
-  with_bottoms net (fun node bottom ->
-      let shapes = expected_shapes node.Network.layer ~bottom in
+  Network.iter net (fun node ->
+      let shapes = node.Network.param_shapes in
       if shapes <> [] then begin
         (* The bias, when present, is always the last tensor. *)
         let n_weight_tensors =
@@ -73,8 +46,8 @@ let init_xavier rng net =
   t
 
 let validate net t =
-  with_bottoms net (fun node bottom ->
-      let expected = expected_shapes node.Network.layer ~bottom in
+  Network.iter net (fun node ->
+      let expected = node.Network.param_shapes in
       if expected <> [] then begin
         let actual = get t node.Network.node_name in
         if List.length actual <> List.length expected then

@@ -1,9 +1,6 @@
-(** Trainable-parameter store: maps layer-node names to their tensors.
-
-    Conventions for the tensor list of a weighted layer:
-    - [Conv]      : [weights (Cout, Cin/group, K, K)] then optional [bias (Cout)]
-    - [Fc]        : [weights (Nout, Nin)] then optional [bias (Nout)]
-    - [Recurrent] : [w_in (Nout, Nin)], [w_rec (Nout, Nout)], optional [bias (Nout)] *)
+(** Trainable-parameter store: maps layer-node names to their tensors,
+    shaped as the node's [param_shapes] ({!Layer.param_shapes} gives the
+    layouts). *)
 
 type t
 
@@ -16,16 +13,11 @@ val get : t -> string -> Db_tensor.Tensor.t list
 
 val mem : t -> string -> bool
 
-val expected_shapes :
-  Layer.t -> bottom:Db_tensor.Shape.t -> Db_tensor.Shape.t list
-(** Shapes the layer's parameter tensors must have given its bottom shape;
-    [[]] for unweighted layers. *)
-
 val init_xavier : Db_util.Rng.t -> Network.t -> t
 (** Glorot-uniform initialisation of every weighted layer (biases zero). *)
 
 val validate : Network.t -> t -> unit
-(** Checks that every weighted node has tensors of the expected shapes.
+(** Checks that every weighted node has tensors of its [param_shapes].
     Raises {!Db_util.Error.Deepburning_error} otherwise. *)
 
 val count_parameters : Network.t -> t -> int

@@ -224,10 +224,10 @@ let fold_op_plan dp op ~bottoms ~output ~node_name ~layer_index =
 let fold_graph dp (g : Graph.t) =
   let layer_index = ref 0 in
   Graph.fold g ~init:[] ~f:(fun acc node ->
-      if Op.is_input node.Graph.op then acc
+      if Op.is_input node.Graph.layer then acc
       else begin
         let folds =
-          fold_op_plan dp node.Graph.op ~bottoms:node.Graph.in_shapes
+          fold_op_plan dp node.Graph.layer ~bottoms:node.Graph.in_shapes
             ~output:node.Graph.out_shape ~node_name:node.Graph.node_name
             ~layer_index:!layer_index
         in

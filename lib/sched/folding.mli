@@ -9,8 +9,7 @@
     event name ([layer0-fold0]).
 
     Folding consumes the typed IR ([Db_ir]): shapes come from the node
-    attributes computed at lowering time, not from a fresh shape-inference
-    run. *)
+    attributes computed at import, not from a fresh shape-inference run. *)
 
 type fold = {
   fold_layer : string;  (** node name *)

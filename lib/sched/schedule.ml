@@ -6,7 +6,7 @@ type t = {
 
 let build dp graph =
   {
-    net_name = graph.Db_ir.Graph.graph_name;
+    net_name = graph.Db_ir.Graph.net_name;
     datapath = dp;
     folds = Folding.fold_graph dp graph;
   }

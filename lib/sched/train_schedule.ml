@@ -17,7 +17,7 @@ type phase = Ff | Bp | Up
 let phase_name = function Ff -> "ff" | Bp -> "bp" | Up -> "up"
 
 let node_phase (n : Graph.node) =
-  match n.Graph.op with
+  match n.Graph.layer with
   | Op.Sgd_update _ -> Up
   | Op.Backward _ -> Bp
   | _ -> Ff
@@ -63,7 +63,7 @@ let build dp (g : Graph.t) =
   in
   if t.bp = [] then
     fail "graph %S has no backward folds: not a training-lowered graph"
-      g.Graph.graph_name;
+      g.Graph.net_name;
   t
 
 (* The phase sequencer: one state per non-empty phase, chained on

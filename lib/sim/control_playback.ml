@@ -17,7 +17,7 @@ let region_of_transfer design (p : Compiler.fold_program)
   let node = Graph.find_node design.Design.ir p.Compiler.fold.Folding.fold_layer in
   match tr.Compiler.stream with
   | `Feature_in -> begin
-      match node.Graph.inputs with
+      match node.Graph.bottoms with
       | bottom :: _ ->
           let e = Layout.feature_entry layout ~blob:bottom in
           Some (e.Layout.base, e.Layout.base + e.Layout.words)
@@ -38,7 +38,7 @@ let region_of_transfer design (p : Compiler.fold_program)
           Some (lo, hi)
     end
   | `Output_back -> begin
-      match node.Graph.outputs with
+      match node.Graph.tops with
       | top :: _ ->
           let e = Layout.feature_entry layout ~blob:top in
           Some (e.Layout.base, e.Layout.base + e.Layout.words)

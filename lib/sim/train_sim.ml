@@ -242,27 +242,27 @@ let strip_prefix ~prefix s =
 
 let init_state ~fmt ~eval (tgraph : Graph.t) params =
   let is_seed (n : Graph.node) =
-    Op.is_input n.Graph.op && n.Graph.node_name = "grad:seed"
+    Op.is_input n.Graph.layer && n.Graph.node_name = "grad:seed"
   in
   let input_blob =
     match
       List.find_opt
-        (fun (n : Graph.node) -> Op.is_input n.Graph.op && not (is_seed n))
+        (fun (n : Graph.node) -> Op.is_input n.Graph.layer && not (is_seed n))
         tgraph.Graph.nodes
     with
-    | Some n -> List.hd n.Graph.outputs
+    | Some n -> List.hd n.Graph.tops
     | None -> fail "training graph has no data input"
   in
   let seed_blob =
     match List.find_opt is_seed tgraph.Graph.nodes with
-    | Some n -> List.hd n.Graph.outputs
+    | Some n -> List.hd n.Graph.tops
     | None -> fail "training graph has no gradient seed (not training-lowered?)"
   in
   let final_top = strip_prefix ~prefix:"d:" seed_blob in
   let by_phase p =
     List.filter
       (fun (n : Graph.node) ->
-        (not (Op.is_input n.Graph.op)) && Train_schedule.node_phase n = p)
+        (not (Op.is_input n.Graph.layer)) && Train_schedule.node_phase n = p)
       tgraph.Graph.nodes
   in
   let ff_nodes = by_phase Train_schedule.Ff in
@@ -305,7 +305,7 @@ let forward_pass st env =
   List.iter
     (fun (n : Graph.node) ->
       let bottom =
-        match n.Graph.inputs with
+        match n.Graph.bottoms with
         | [ b ] -> b
         | _ -> fail "forward node %S is not single-bottom" n.Graph.node_name
       in
@@ -319,9 +319,9 @@ let forward_pass st env =
           (Hashtbl.find_opt st.qparams n.Graph.node_name)
       in
       let y =
-        Quantized.eval_node st.fmt st.eval n.Graph.op ~params ~bottoms:[ x ]
+        Quantized.eval_node st.fmt st.eval n.Graph.layer ~params ~bottoms:[ x ]
       in
-      Hashtbl.replace env (List.hd n.Graph.outputs) y)
+      Hashtbl.replace env (List.hd n.Graph.tops) y)
     st.ff_nodes
 
 (* Integer backward kernels.  Products of two fmt-scale words live at
@@ -393,16 +393,16 @@ let backward_pass st env =
   List.iter
     (fun (n : Graph.node) ->
       let dy_blob, ref_blob =
-        match n.Graph.inputs with
+        match n.Graph.bottoms with
         | [ a; b ] -> (a, b)
         | _ -> fail "backward node %S is not [dY; ref]" n.Graph.node_name
       in
       let dy = (Hashtbl.find env dy_blob).Quantized.qdata in
       let refq = Hashtbl.find env ref_blob in
       let refv = refq.Quantized.qdata in
-      match n.Graph.op with
+      match n.Graph.layer with
       | Op.Backward { fwd; wrt = Op.Wrt_params } -> begin
-          let target = strip_prefix ~prefix:"g:" (List.hd n.Graph.outputs) in
+          let target = strip_prefix ~prefix:"g:" (List.hd n.Graph.tops) in
           match fwd with
           | Op.Fc _ -> fc_grad_params st ~fwd ~dy ~x:refv ~target
           | other ->
@@ -426,7 +426,7 @@ let backward_pass st env =
                 fail "hardware training does not yet model %s input gradients"
                   (Op.name other)
           in
-          Hashtbl.replace env (List.hd n.Graph.outputs)
+          Hashtbl.replace env (List.hd n.Graph.tops)
             { Quantized.qshape = refq.Quantized.qshape; qdata = dx }
       | _ ->
           fail "node %S in the BP phase is not a backward op"
@@ -443,7 +443,7 @@ let update_pass st ~(config : Trainer.config) ~batch ~inject =
   List.iter
     (fun (n : Graph.node) ->
       let target =
-        match n.Graph.op with
+        match n.Graph.layer with
         | Op.Sgd_update { target } -> target
         | _ -> fail "node %S in the UP phase is not an update" n.Graph.node_name
       in

@@ -35,7 +35,7 @@ type entry = {
 let magic = "DBSTORE1"
 
 (* Bump whenever [Design.t]'s marshalled layout changes. *)
-let format_version = 2
+let format_version = 3
 
 type stats = {
   st_hits : int;

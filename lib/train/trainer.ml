@@ -29,21 +29,22 @@ type history = { losses : float array; final_loss : float }
 
 let fail fmt = Db_util.Error.failf_at ~component:"trainer" fmt
 
-(* The trainable chain: non-input IR nodes in order, validated sequential.
-   Training consumers select the no-fusion pipeline at lowering time
-   ([Pass.lower_for_training]), so the chain mirrors the frontend network
-   node-for-node and every activation is still a standalone node.  A
-   fused op reaching this point means an *optimized inference* graph was
-   handed to the trainer — reject it here, classified, rather than
-   letting [Backprop] discover it mid-epoch. *)
+(* The trainable chain: non-input nodes in order, validated sequential.
+   Training needs the raw operator boundaries — activation fusion would
+   hide the per-op intermediates the backward pass replays, and dropout is
+   not the identity during training — so it runs on the imported network,
+   where every activation is still a standalone node.  A fused op
+   reaching this point means an *optimized inference* graph was handed to
+   the trainer: reject it here, classified, rather than letting [Backprop]
+   discover it mid-epoch. *)
 let chain_of_graph (g : Graph.t) =
   let nodes =
-    List.filter (fun n -> not (Op.is_input n.Graph.op)) g.Graph.nodes
+    List.filter (fun n -> not (Op.is_input n.Graph.layer)) g.Graph.nodes
   in
   let rec check previous_top = function
     | [] -> ()
     | node :: rest -> begin
-        match node.Graph.inputs, node.Graph.outputs with
+        match node.Graph.bottoms, node.Graph.tops with
         | [ bottom ], [ top ] ->
             if bottom <> previous_top then
               fail "network is not a chain: %S consumes %S, expected %S"
@@ -54,27 +55,25 @@ let chain_of_graph (g : Graph.t) =
   in
   (match g.Graph.nodes with
   | first :: _ -> begin
-      match first.Graph.op, first.Graph.outputs with
+      match first.Graph.layer, first.Graph.tops with
       | Op.Input _, [ top ] -> check top nodes
       | _ -> fail "first node must be the input"
     end
   | [] -> fail "empty network");
   List.iter
     (fun node ->
-      (match Op.fused_activation node.Graph.op with
+      (match Op.fused_activation node.Graph.layer with
       | Some act ->
           fail
-            "layer %S carries a fused %s: training requires the raw \
-             (no-fusion) lowering — use Pass.lower_for_training"
+            "layer %S carries a fused %s: training requires the \
+             unoptimized network"
             node.Graph.node_name (Op.activation_name act)
       | None -> ());
-      if not (Backprop.supported node.Graph.op) then
+      if not (Backprop.supported node.Graph.layer) then
         fail "layer %S (%s) is not trainable by backprop"
-          node.Graph.node_name (Op.name node.Graph.op))
+          node.Graph.node_name (Op.name node.Graph.layer))
     nodes;
   nodes
-
-let chain_of_network net = chain_of_graph (Db_ir.Pass.lower_for_training net)
 
 let forward_chain chain params input =
   let rec go input acc = function
@@ -82,7 +81,7 @@ let forward_chain chain params input =
     | node :: rest ->
         let p = Params.get params node.Graph.node_name in
         let output, cache =
-          Backprop.forward_op ~op:node.Graph.op ~params:p ~input
+          Backprop.forward_op ~op:node.Graph.layer ~params:p ~input
         in
         go output ((node, cache) :: acc) rest
   in
@@ -141,7 +140,7 @@ let apply_updates ~config ~velocities params grads batch_size =
 
 let train ?(config = default_config) ~rng net params samples =
   if Array.length samples = 0 then fail "no training samples";
-  let chain = chain_of_network net in
+  let chain = chain_of_graph net in
   let velocities = Hashtbl.create 8 in
   let order = Array.init (Array.length samples) (fun i -> i) in
   let losses =
@@ -174,7 +173,7 @@ let train ?(config = default_config) ~rng net params samples =
   }
 
 let mean_loss ~loss net params samples =
-  let chain = chain_of_network net in
+  let chain = chain_of_graph net in
   let total = ref 0.0 in
   Array.iter
     (fun sample ->

@@ -25,13 +25,10 @@ type history = {
 }
 
 val chain_of_graph : Db_ir.Graph.t -> Db_ir.Graph.node list
-(** The trainable chain of an already-lowered graph: non-input nodes in
-    order, validated sequential, every op backprop-supported and
-    fusion-free.  Fails classified ([trainer]) on a fused op — training
-    consumers must lower with {!Db_ir.Pass.lower_for_training}. *)
-
-val chain_of_network : Db_nn.Network.t -> Db_ir.Graph.node list
-(** [chain_of_graph] of the network's no-fusion training lowering. *)
+(** The trainable chain of an imported network (or any unoptimized
+    graph): non-input nodes in order, validated sequential, every op
+    backprop-supported and fusion-free.  Fails classified ([trainer]) on a
+    fused op, i.e. on a graph from {!Db_ir.Pass.optimize}. *)
 
 val train :
   ?config:config ->

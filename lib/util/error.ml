@@ -35,6 +35,8 @@ let registry : (string, failure_class) Hashtbl.t = Hashtbl.create 64
 
 let register_component name cls = Hashtbl.replace registry name cls
 
+let component_class name = Hashtbl.find_opt registry name
+
 (* Default classification of every component prefix used across the
    repository; libraries introducing new components may register theirs. *)
 let () =
@@ -88,6 +90,13 @@ let () =
       ("train-campaign", Simulation);
       ("fault", Simulation);
       ("serve-request", Validation);
+      ("dse", Validation);
+      ("dse-archive", Validation);
+      ("objective", Validation);
+      (* Broken internal invariants: a bug, not bad input. *)
+      ("ir-annot", Internal);
+      ("ir-pass", Internal);
+      ("ir-verify", Internal);
       ("io-prototxt", Io);
       ("io-report", Io);
       ("io-testbench", Io);
@@ -100,7 +109,7 @@ let classify_message msg =
   match String.index_opt msg ':' with
   | None -> Internal
   | Some i -> (
-      match Hashtbl.find_opt registry (String.sub msg 0 i) with
+      match component_class (String.sub msg 0 i) with
       | Some cls -> cls
       | None -> Internal)
 

@@ -51,6 +51,9 @@ val register_component : string -> failure_class -> unit
 (** Bind a component prefix (the [~component] of {!failf_at}) to a class.
     Later registrations override earlier ones. *)
 
+val component_class : string -> failure_class option
+(** The class a component is registered under; [None] when it is not. *)
+
 val classify_message : string -> failure_class
 (** Class of a {!Deepburning_error} message from its ["component: ..."]
     prefix; [Internal] when the prefix is unknown. *)

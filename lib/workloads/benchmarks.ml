@@ -196,11 +196,10 @@ let prepare_classifier ~seed ~network ~make_data ~train_count ~eval_count
   let eval = Array.sub data train_count eval_count in
   let classes =
     match Network.output_blobs network with
-    | [ _ ] -> begin
-        let shapes = Db_nn.Shape_infer.infer network in
-        match Network.output_blobs network with
-        | [ blob ] -> Shape.numel (Db_nn.Shape_infer.blob_shape shapes blob)
-        | _ -> 10
+    | [ blob ] -> begin
+        match Network.producer_opt network blob with
+        | Some n -> Shape.numel n.Network.out_shape
+        | None -> 10
       end
     | _ -> 10
   in

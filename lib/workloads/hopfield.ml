@@ -51,18 +51,12 @@ let build ?(steps = 60) ~cities () =
   in
   let nodes =
     [
-      {
-        Network.node_name = "bias_in";
-        layer = Layer.Input { shape = Shape.vector units };
-        bottoms = [];
-        tops = [ input_blob ];
-      };
-      {
-        Network.node_name = "relax";
-        layer = Layer.Recurrent { num_output = units; steps; bias = false };
-        bottoms = [ input_blob ];
-        tops = [ "state" ];
-      };
+      Network.node ~node_name:"bias_in"
+        ~layer:(Layer.Input { shape = Shape.vector units })
+        ~bottoms:[] ~tops:[ input_blob ];
+      Network.node ~node_name:"relax"
+        ~layer:(Layer.Recurrent { num_output = units; steps; bias = false })
+        ~bottoms:[ input_blob ] ~tops:[ "state" ];
     ]
   in
   let network = Network.create ~name:"hopfield-tsp" nodes in

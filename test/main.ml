@@ -9,4 +9,4 @@ let () =
    @ Test_baseline.suite @ Test_workloads.suite @ Test_integration.suite
    @ Test_extensions.suite @ Test_fault.suite @ Test_obs.suite
    @ Test_fuzz.suite @ Test_check.suite @ Test_spec.suite @ Test_store.suite
-   @ Test_serve.suite @ Test_dse.suite @ Test_trainhw.suite)
+   @ Test_serve.suite @ Test_dse.suite @ Test_trainhw.suite @ Test_cli.suite)

@@ -259,7 +259,7 @@ let test_interp_enclosure name () =
   (* Several draws per model; the static intervals must enclose them all. *)
   for _ = 1 to 3 do
     let input = Tensor.random_uniform rng shape ~min:(-1.0) ~max:1.0 in
-    let env = Db_ir.Interp.forward g params ~inputs:[ (blob, input) ] in
+    let env = Db_nn.Interpreter.forward g params ~inputs:[ (blob, input) ] in
     List.iter
       (fun (top, tensor) ->
         match Range.blob_interval report top with

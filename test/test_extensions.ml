@@ -74,18 +74,12 @@ let quantized_fc features weights bias =
   let net =
     Db_nn.Network.create ~name:"ref"
       [
-        {
-          Db_nn.Network.node_name = "in";
-          layer = Db_nn.Layer.Input { shape = Shape.vector nin };
-          bottoms = [];
-          tops = [ "x" ];
-        };
-        {
-          Db_nn.Network.node_name = "fc";
-          layer = Db_nn.Layer.Fc { num_output = nout; bias = bias <> None; fused = None };
-          bottoms = [ "x" ];
-          tops = [ "y" ];
-        };
+        Db_nn.Network.node ~node_name:"in"
+          ~layer:(Db_nn.Layer.Input { shape = Shape.vector nin })
+          ~bottoms:[] ~tops:[ "x" ];
+        Db_nn.Network.node ~node_name:"fc"
+          ~layer:(Db_nn.Layer.Fc { num_output = nout; bias = bias <> None; fused = None })
+          ~bottoms:[ "x" ] ~tops:[ "y" ];
       ]
   in
   let params = Db_nn.Params.create () in
@@ -236,18 +230,11 @@ let test_training_experiment_rows () =
 let lcn_net ~window ~epsilon =
   Db_nn.Network.create ~name:"lcn"
     [
-      {
-        Db_nn.Network.node_name = "in";
-        layer = Db_nn.Layer.Input { shape = Shape.chw ~channels:1 ~height:5 ~width:5 };
-        bottoms = [];
-        tops = [ "x" ];
-      };
-      {
-        Db_nn.Network.node_name = "norm";
-        layer = Db_nn.Layer.Lcn { window; epsilon };
-        bottoms = [ "x" ];
-        tops = [ "y" ];
-      };
+      Db_nn.Network.node ~node_name:"in"
+        ~layer:(Db_nn.Layer.Input { shape = Shape.chw ~channels:1 ~height:5 ~width:5 })
+        ~bottoms:[] ~tops:[ "x" ];
+      Db_nn.Network.node ~node_name:"norm" ~layer:(Db_nn.Layer.Lcn { window; epsilon })
+        ~bottoms:[ "x" ] ~tops:[ "y" ];
     ]
 
 let test_lcn_constant_input_zeroes () =
@@ -572,8 +559,10 @@ let test_model_assets_parse () =
       let net =
         Db_nn.Caffe.import (Db_prototxt.Parser.parse_file (Filename.concat dir f))
       in
-      let (_ : Db_nn.Shape_infer.t) = Db_nn.Shape_infer.infer net in
-      ())
+      (* Import annotates every node; the verifier re-derives each
+         attribute and must agree. *)
+      Alcotest.(check (list string)) (f ^ " verifies") []
+        (List.map Db_ir.Verify.diag_to_string (Db_ir.Verify.run net)))
     prototxts
 
 let test_zoo_lenet5_vgg16_stats () =

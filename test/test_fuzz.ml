@@ -22,17 +22,14 @@ let random_network rng =
     Printf.sprintf "%s%d" prefix !counter
   in
   let push name layer bottom top =
-    nodes := { Network.node_name = name; layer; bottoms = [ bottom ]; tops = [ top ] } :: !nodes
+    nodes := Network.node ~node_name:name ~layer ~bottoms:[ bottom ] ~tops:[ top ] :: !nodes
   in
   let input_blob = "data" in
   nodes :=
     [
-      {
-        Network.node_name = "in";
-        layer = Layer.Input { shape = Shape.chw ~channels ~height:size ~width:size };
-        bottoms = [];
-        tops = [ input_blob ];
-      };
+      Network.node ~node_name:"in"
+        ~layer:(Layer.Input { shape = Shape.chw ~channels ~height:size ~width:size })
+        ~bottoms:[] ~tops:[ input_blob ];
     ];
   let blob = ref input_blob and c = ref channels and hw = ref size in
   let stages = 1 + R.int rng 4 in

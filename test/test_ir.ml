@@ -78,7 +78,7 @@ let tamper g ~node ~f =
   }
 
 let test_verify_empty () =
-  has_code "DB-IR001" { Graph.graph_name = "empty"; nodes = [] }
+  has_code "DB-IR001" { Graph.net_name = "empty"; nodes = [] }
 
 let test_verify_no_input () =
   let g = lower "mlp" in
@@ -92,25 +92,25 @@ let test_verify_duplicate_name () =
 let test_verify_duplicate_blob () =
   let g = lower "mlp" in
   has_code "DB-IR003"
-    (tamper g ~node:"out" ~f:(fun n -> { n with Graph.outputs = [ "hidden" ] }))
+    (tamper g ~node:"out" ~f:(fun n -> { n with Graph.tops = [ "hidden" ] }))
 
 let test_verify_dangling_edge () =
   let g = lower "mlp" in
   has_code "DB-IR004"
-    (tamper g ~node:"out" ~f:(fun n -> { n with Graph.inputs = [ "nosuch" ] }))
+    (tamper g ~node:"out" ~f:(fun n -> { n with Graph.bottoms = [ "nosuch" ] }))
 
 let test_verify_cycle () =
   (* "hidden" consumes the blob "out" produced two positions later: a
      use-before-def, which is what any cycle degenerates to in a node list. *)
   let g = lower "mlp" in
   has_code "DB-IR005"
-    (tamper g ~node:"hidden" ~f:(fun n -> { n with Graph.inputs = [ "out" ] }))
+    (tamper g ~node:"hidden" ~f:(fun n -> { n with Graph.bottoms = [ "out" ] }))
 
 let test_verify_arity () =
   let g = lower "mlp" in
   has_code "DB-IR006"
     (tamper g ~node:"out" ~f:(fun n ->
-         { n with Graph.inputs = [ "data"; "act" ]; in_shapes = [ Shape.vector 16; Shape.vector 32 ] }))
+         { n with Graph.bottoms = [ "data"; "act" ]; in_shapes = [ Shape.vector 16; Shape.vector 32 ] }))
 
 let test_verify_shape_mismatch () =
   let g = lower "mlp" in
@@ -124,7 +124,7 @@ let test_verify_invalid_params () =
     (tamper g ~node:"out" ~f:(fun n ->
          {
            n with
-           Graph.op =
+           Graph.layer =
              Op.Conv
                {
                  num_output = 4;
@@ -150,7 +150,7 @@ let test_verify_bad_ids () =
 
 let test_check_exn_raises () =
   let g = lower "mlp" in
-  let bad = tamper g ~node:"out" ~f:(fun n -> { n with Graph.inputs = [ "nosuch" ] }) in
+  let bad = tamper g ~node:"out" ~f:(fun n -> { n with Graph.bottoms = [ "nosuch" ] }) in
   match Verify.check_exn bad with
   | () -> Alcotest.fail "expected verification failure"
   | exception Db_util.Error.Deepburning_error _ -> ()
@@ -170,15 +170,15 @@ let test_zoo_verifies () =
 let test_dropout_elided () =
   let g = Pass.optimize (lower "cifar") in
   Alcotest.(check bool) "no dropout nodes" false
-    (Graph.has_op g (function Op.Dropout _ -> true | _ -> false))
+    (Graph.has_layer g (function Op.Dropout _ -> true | _ -> false))
 
 let test_activations_folded () =
   let g = Pass.optimize (lower "mnist") in
   (* Every ReLU that followed a conv/FC with a single consumer is gone. *)
   Alcotest.(check bool) "no standalone activations" false
-    (Graph.has_op g (function Op.Act _ -> true | _ -> false));
+    (Graph.has_layer g (function Op.Act _ -> true | _ -> false));
   Alcotest.(check bool) "fused slots populated" true
-    (Graph.has_op g (fun op -> Op.fused_activation op <> None))
+    (Graph.has_layer g (fun op -> Op.fused_activation op <> None))
 
 let test_folding_keeps_macs () =
   let raw = lower "mnist" in
@@ -210,7 +210,7 @@ let interp_equiv name () =
   let reference =
     Db_nn.Interpreter.output net params ~inputs:[ (blob, input) ]
   in
-  let via_ir = Db_ir.Interp.output g params ~inputs:[ (blob, input) ] in
+  let via_ir = Db_nn.Interpreter.output g params ~inputs:[ (blob, input) ] in
   Alcotest.(check bool)
     (name ^ ": IR output matches interpreter")
     true

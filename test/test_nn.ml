@@ -9,7 +9,13 @@ module Params = Db_nn.Params
 module Caffe = Db_nn.Caffe
 
 let node name layer bottoms tops =
-  { Network.node_name = name; layer; bottoms; tops }
+  Network.node ~node_name:name ~layer ~bottoms ~tops
+
+(* The annotated shape of a blob: its producer's output shape. *)
+let blob_shape net blob =
+  match Network.producer_opt net blob with
+  | Some n -> Shape.to_string n.Network.out_shape
+  | None -> Alcotest.failf "no producer for blob %S" blob
 
 let tiny_mlp () =
   Network.create ~name:"tiny"
@@ -96,25 +102,17 @@ let test_output_blobs () =
   Alcotest.(check int) "layer count" 2 (Network.layer_count net)
 
 let test_shape_inference_mlp () =
-  let shapes = Db_nn.Shape_infer.infer (tiny_mlp ()) in
-  Alcotest.(check string) "hidden" "3"
-    (Shape.to_string (Db_nn.Shape_infer.blob_shape shapes "h"));
-  Alcotest.(check string) "out" "3"
-    (Shape.to_string (Db_nn.Shape_infer.blob_shape shapes "out"))
+  let net = tiny_mlp () in
+  Alcotest.(check string) "hidden" "3" (blob_shape net "h");
+  Alcotest.(check string) "out" "3" (blob_shape net "out")
 
 let test_shape_inference_cnn () =
   let net = Db_workloads.Model_zoo.build Db_workloads.Model_zoo.alexnet_prototxt in
-  let shapes = Db_nn.Shape_infer.infer net in
-  Alcotest.(check string) "conv1" "96x55x55"
-    (Shape.to_string (Db_nn.Shape_infer.blob_shape shapes "conv1"));
-  Alcotest.(check string) "pool1" "96x27x27"
-    (Shape.to_string (Db_nn.Shape_infer.blob_shape shapes "pool1"));
-  Alcotest.(check string) "conv2 grouped" "256x27x27"
-    (Shape.to_string (Db_nn.Shape_infer.blob_shape shapes "conv2"));
-  Alcotest.(check string) "pool5" "256x6x6"
-    (Shape.to_string (Db_nn.Shape_infer.blob_shape shapes "pool5"));
-  Alcotest.(check string) "fc8" "1000"
-    (Shape.to_string (Db_nn.Shape_infer.blob_shape shapes "fc8"))
+  Alcotest.(check string) "conv1" "96x55x55" (blob_shape net "conv1");
+  Alcotest.(check string) "pool1" "96x27x27" (blob_shape net "pool1");
+  Alcotest.(check string) "conv2 grouped" "256x27x27" (blob_shape net "conv2");
+  Alcotest.(check string) "pool5" "256x6x6" (blob_shape net "pool5");
+  Alcotest.(check string) "fc8" "1000" (blob_shape net "fc8")
 
 let test_params_shapes_and_count () =
   let net = tiny_mlp () in
@@ -343,7 +341,7 @@ let test_fused_and_training_ops () =
         ~bottoms:[ Db_nn.Quantized.quantize fmt x ]);
   let sgd = Layer.Sgd_update { target = "fc" } in
   expect_class "shape of a training op" Db_util.Error.Validation (fun () ->
-      Db_nn.Shape_infer.layer_output_shape sgd [ Shape.vector 2 ]);
+      Layer.output_shape sgd [ Shape.vector 2 ]);
   expect_class "eval of a training op" Db_util.Error.Validation (fun () ->
       eval (Layer.Backward { fwd = fc None; wrt = Layer.Wrt_input }))
 
@@ -411,10 +409,8 @@ let test_builder_chain () =
       |> build ~name:"built")
   in
   Alcotest.(check int) "layer count" 6 (Network.layer_count net);
-  let shapes = Db_nn.Shape_infer.infer net in
   Alcotest.(check string) "output shape" "10"
-    (Shape.to_string
-       (Db_nn.Shape_infer.blob_shape shapes (List.hd (Network.output_blobs net))))
+    (blob_shape net (List.hd (Network.output_blobs net)))
 
 let test_builder_equivalent_to_import () =
   (* A builder network and the prototxt form of the same topology agree

@@ -127,6 +127,27 @@ let test_bad_magic () =
 
 let test_empty_entry () = corruption_recovers "empty" (fun path -> write_bytes path "")
 
+(* The entry record, mirrored so a test can forge one written under an
+   older store format. *)
+type forged_entry = {
+  e_format : int;
+  e_ocaml : string;
+  e_key : string;
+  e_payload : string;
+}
+
+(* An entry from the previous format (an older [Design.t] layout) must be
+   recomputed, never decoded, even when it is otherwise intact. *)
+let test_stale_format () =
+  corruption_recovers "stale-format" (fun path ->
+      let content = read_bytes path in
+      let (e : forged_entry) = Marshal.from_string content 16 in
+      let body =
+        Marshal.to_string { e with e_format = Store.format_version - 1 } []
+      in
+      write_bytes path
+        (Printf.sprintf "DBSTORE1%08x%s" (Db_fault.Ecc.crc32 body) body))
+
 (* An entry written by a different compiler (or salted test "compiler")
    must be treated as corrupt, not unmarshalled. *)
 let test_version_skew () =
@@ -298,6 +319,7 @@ let suite =
         Alcotest.test_case "bad magic recovers" `Quick test_bad_magic;
         Alcotest.test_case "empty entry recovers" `Quick test_empty_entry;
         Alcotest.test_case "version skew regenerates" `Quick test_version_skew;
+        Alcotest.test_case "stale format regenerates" `Quick test_stale_format;
         Alcotest.test_case "kill mid-write sweeps tmp" `Quick
           test_kill_mid_write_tmp_sweep;
         Alcotest.test_case "LRU compaction recomputes losslessly" `Quick

@@ -10,7 +10,7 @@ module Trainer = Db_train.Trainer
 module Loss = Db_train.Loss
 
 let node name layer bottoms tops =
-  { Network.node_name = name; layer; bottoms; tops }
+  Network.node ~node_name:name ~layer ~bottoms ~tops
 
 let test_mse_loss () =
   let p = Tensor.of_array (Shape.vector 2) [| 1.0; 2.0 |] in
@@ -228,16 +228,16 @@ let test_classification_accuracy_api () =
 
 (* ------------------------------------------------------------------ *)
 (* Whole-graph gradient checks: central finite differences through a
-   multi-layer chain, against [Backprop] run over the trainer's own
-   no-fusion lowering ([Trainer.chain_of_network]).  Each graph gets a
-   few random seeds — the single-layer checks above pin the kernels,
-   these pin the chain-rule composition across ops. *)
+   multi-layer chain, against [Backprop] run over the trainer's own chain
+   ([Trainer.chain_of_graph]).  Each graph gets a few random seeds — the
+   single-layer checks above pin the kernels, these pin the chain-rule
+   composition across ops. *)
 
 let graph_forward chain store input =
   List.fold_left
     (fun x (node : Db_ir.Graph.node) ->
       fst
-        (Db_train.Backprop.forward_op ~op:node.Db_ir.Graph.op
+        (Db_train.Backprop.forward_op ~op:node.Db_ir.Graph.layer
            ~params:(Params.get store node.Db_ir.Graph.node_name)
            ~input:x))
     input chain
@@ -245,7 +245,7 @@ let graph_forward chain store input =
 let graph_grad_check ~seed net ~epsilon ~tol =
   let rng = Db_util.Rng.create seed in
   let store = Params.init_xavier rng net in
-  let chain = Trainer.chain_of_network net in
+  let chain = Trainer.chain_of_graph net in
   let in_shape =
     match (List.hd (Network.input_nodes net)).Network.layer with
     | Layer.Input { shape } -> shape
@@ -266,7 +266,7 @@ let graph_grad_check ~seed net ~epsilon ~tol =
     List.fold_left
       (fun (x, acc) (node : Db_ir.Graph.node) ->
         let y, cache =
-          Db_train.Backprop.forward_op ~op:node.Db_ir.Graph.op
+          Db_train.Backprop.forward_op ~op:node.Db_ir.Graph.layer
             ~params:(Params.get store node.Db_ir.Graph.node_name)
             ~input:x
         in

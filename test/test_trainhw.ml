@@ -35,7 +35,7 @@ let samples n seed =
   let tb = Lazy.force tb in
   let ir = tb.Train_builder.base.Db_core.Design.ir in
   let in_shape =
-    (List.find (fun (n : Graph.node) -> Op.is_input n.Graph.op)
+    (List.find (fun (n : Graph.node) -> Op.is_input n.Graph.layer)
        ir.Graph.nodes)
       .Graph.out_shape
   in
@@ -64,17 +64,17 @@ let test_lower_training_structure () =
   let fwd = Db_ir.Lower.lower (Lazy.force net) in
   let g = Db_ir.Lower.lower_training (Lazy.force net) in
   Alcotest.(check string) "graph renamed"
-    (fwd.Graph.graph_name ^ ":train")
-    g.Graph.graph_name;
+    (fwd.Graph.net_name ^ ":train")
+    g.Graph.net_name;
   let has name = Graph.find_node_opt g name <> None in
   Alcotest.(check bool) "gradient seed injected" true (has "grad:seed");
   (match Graph.find_node_opt g "grad:seed" with
-  | Some n -> Alcotest.(check bool) "seed is an input" true (Op.is_input n.Graph.op)
+  | Some n -> Alcotest.(check bool) "seed is an input" true (Op.is_input n.Graph.layer)
   | None -> ());
   let weighted =
     List.filter_map
       (fun (n : Graph.node) ->
-        match n.Graph.op with Op.Fc _ -> Some n.Graph.node_name | _ -> None)
+        match n.Graph.layer with Op.Fc _ -> Some n.Graph.node_name | _ -> None)
       fwd.Graph.nodes
   in
   Alcotest.(check bool) "fixture has weighted layers" true (weighted <> []);
@@ -83,7 +83,7 @@ let test_lower_training_structure () =
       Alcotest.(check bool) (name ^ " has bp_dw") true (has ("bp_dw:" ^ name));
       Alcotest.(check bool) (name ^ " has up") true (has ("up:" ^ name));
       match Graph.find_node_opt g ("up:" ^ name) with
-      | Some { Graph.op = Op.Sgd_update { target }; _ } ->
+      | Some { Graph.layer = Op.Sgd_update { target }; _ } ->
           Alcotest.(check string) "update targets its layer" name target
       | _ -> Alcotest.failf "up:%s is not an Sgd_update" name)
     weighted;
@@ -247,7 +247,7 @@ let test_update_freeze_stops_learning () =
   let targets =
     List.filter_map
       (fun (n : Graph.node) ->
-        match n.Graph.op with
+        match n.Graph.layer with
         | Op.Sgd_update { target } -> Some target
         | _ -> None)
       tb.Train_builder.tgraph.Graph.nodes
@@ -280,7 +280,7 @@ let test_grad_flip_perturbs () =
     match
       List.find_map
         (fun (n : Graph.node) ->
-          match n.Graph.op with
+          match n.Graph.layer with
           | Op.Sgd_update { target } -> Some target
           | _ -> None)
         tb.Train_builder.tgraph.Graph.nodes

@@ -111,6 +111,42 @@ let test_error_message () =
     (Db_util.Error.Deepburning_error "unit-test: boom 42") (fun () ->
       Db_util.Error.failf_at ~component:"unit-test" "boom %d" 42)
 
+(* Every [~component:"..."] literal under lib/ and bin/ names a registered
+   component, so no failure class is Internal by omission: components for
+   broken internal invariants are registered as Internal explicitly. *)
+let test_error_registry_complete () =
+  let rec sources dir =
+    Array.fold_left
+      (fun acc name ->
+        let path = Filename.concat dir name in
+        if name.[0] = '.' then acc
+        else if Sys.is_directory path then sources path @ acc
+        else if Filename.check_suffix name ".ml" then path :: acc
+        else acc)
+      [] (Sys.readdir dir)
+  in
+  (* In a file split at '"', a literal is the piece after one ending in
+     the label. *)
+  let rec literals = function
+    | before :: literal :: rest
+      when String.ends_with ~suffix:"~component:" before ->
+        literal :: literals rest
+    | _ :: rest -> literals rest
+    | [] -> []
+  in
+  let components =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun path ->
+           literals
+             (String.split_on_char '"'
+                (In_channel.with_open_bin path In_channel.input_all)))
+         (sources "../lib" @ sources "../bin"))
+  in
+  Alcotest.(check bool) "found the components" true (List.length components > 40);
+  Alcotest.(check (list string)) "unregistered components" []
+    (List.filter (fun c -> Db_util.Error.component_class c = None) components)
+
 let suite =
   [
     ( "util.rng",
@@ -135,5 +171,7 @@ let suite =
         Alcotest.test_case "Eq(1) exact" `Quick test_rel_accuracy_exact;
         Alcotest.test_case "Eq(1) monotone" `Quick test_rel_accuracy_degrades;
         Alcotest.test_case "error format" `Quick test_error_message;
+        Alcotest.test_case "error registry complete" `Quick
+          test_error_registry_complete;
       ] );
   ]

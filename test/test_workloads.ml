@@ -9,6 +9,12 @@ module Benchmarks = Db_workloads.Benchmarks
 module Tensor = Db_tensor.Tensor
 module Shape = Db_tensor.Shape
 
+(* The annotated shape of a blob: its producer's output shape. *)
+let blob_shape net blob =
+  match Db_nn.Network.producer_opt net blob with
+  | Some n -> Shape.to_string n.Db_nn.Network.out_shape
+  | None -> Alcotest.failf "no producer for blob %S" blob
+
 let test_fft_impulse () =
   (* FFT of a unit impulse: flat magnitude spectrum of 1/N. *)
   let impulse = Array.init Axbench.fft_size (fun i -> if i = 0 then 1.0 else 0.0) in
@@ -175,7 +181,8 @@ let test_zoo_all_models_valid () =
   (* Every zoo network imports, shape-infers and reports stats. *)
   List.iter
     (fun (name, net) ->
-      let (_ : Db_nn.Shape_infer.t) = Db_nn.Shape_infer.infer net in
+      Alcotest.(check (list string)) (name ^ " verifies") []
+        (List.map Db_ir.Verify.diag_to_string (Db_ir.Verify.run net));
       let stats = Db_nn.Model_stats.compute net in
       Alcotest.(check bool) (name ^ " has layers") true
         (List.length stats.Db_nn.Model_stats.per_layer > 0))
@@ -183,15 +190,12 @@ let test_zoo_all_models_valid () =
 
 let test_zoo_nin_shapes () =
   let net = Model_zoo.build Model_zoo.nin_prototxt in
-  let shapes = Db_nn.Shape_infer.infer net in
-  Alcotest.(check string) "1000-way output" "1000"
-    (Shape.to_string (Db_nn.Shape_infer.blob_shape shapes "gap"))
+  Alcotest.(check string) "1000-way output" "1000" (blob_shape net "gap")
 
 let test_zoo_googlenet_concat () =
   let net = Model_zoo.build Model_zoo.googlenet_like_prototxt in
-  let shapes = Db_nn.Shape_infer.infer net in
   Alcotest.(check string) "inception concat" "24x32x32"
-    (Shape.to_string (Db_nn.Shape_infer.blob_shape shapes "inception"))
+    (blob_shape net "inception")
 
 let test_benchmark_registry () =
   Alcotest.(check int) "nine models (paper says eight, lists nine)" 9 (List.length Benchmarks.all);
