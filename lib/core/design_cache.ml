@@ -66,9 +66,40 @@ let fmt_key ?lanes ~tiling_enabled cons network =
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
-let table : (string, Design.t) Hashtbl.t = Hashtbl.create 32
+(* The design table is bounded: a long exploration (one design per
+   candidate, fresh candidates every round) or a serving process would
+   otherwise keep every design it ever generated alive.  The capacity is
+   several explorations' worth of distinct designs (an exploration
+   evaluates at most its budget, 40 by default); past it, the least
+   recently used entry is evicted.  Eviction only costs a regeneration —
+   the generator is deterministic — never a different answer. *)
+let table_capacity = 128
+
+type entry = { design : Design.t; mutable last_use : int }
+
+let table : (string, entry) Hashtbl.t = Hashtbl.create 64
 
 let lock = Mutex.create ()
+
+(* Monotonic use stamp ordering entries for eviction; under [lock]. *)
+let use_clock = ref 0
+
+let touch e =
+  incr use_clock;
+  e.last_use <- !use_clock
+
+(* Linear scan for the stalest entry: at this capacity it costs far less
+   than the generation that triggered the insert. *)
+let evict_lru () =
+  let victim =
+    Hashtbl.fold
+      (fun key e acc ->
+        match acc with
+        | Some (_, used) when used <= e.last_use -> acc
+        | Some _ | None -> Some (key, e.last_use))
+      table None
+  in
+  Option.iter (fun (key, _) -> Hashtbl.remove table key) victim
 
 let hit_count = Atomic.make 0
 
@@ -110,7 +141,13 @@ let second_level_store key design =
 let memo key generate =
   let cached =
     Mutex.lock lock;
-    let r = Hashtbl.find_opt table key in
+    let r =
+      Option.map
+        (fun e ->
+          touch e;
+          e.design)
+        (Hashtbl.find_opt table key)
+    in
     Mutex.unlock lock;
     r
   in
@@ -132,9 +169,14 @@ let memo key generate =
       Mutex.lock lock;
       let design =
         match Hashtbl.find_opt table key with
-        | Some existing -> existing
+        | Some existing ->
+            touch existing;
+            existing.design
         | None ->
-            Hashtbl.add table key design;
+            if Hashtbl.length table >= table_capacity then evict_lru ();
+            let e = { design; last_use = 0 } in
+            touch e;
+            Hashtbl.add table key e;
             design
       in
       Mutex.unlock lock;
@@ -158,6 +200,12 @@ let generate_with_lanes ?(tiling_enabled = true) cons network ~lanes =
     (fun () -> Generator.generate_with_lanes ~tiling_enabled cons network ~lanes)
 
 let stats () = (Atomic.get hit_count, Atomic.get miss_count)
+
+let size () =
+  Mutex.lock lock;
+  let n = Hashtbl.length table in
+  Mutex.unlock lock;
+  n
 
 (* Derived-artifact side caches (compiled simulation traces, memoised
    timing reports, ...) register a clear hook here so [clear] drops them

@@ -6,6 +6,7 @@
     Keying off the optimized IR means two models that canonicalize to the
     same graph — e.g. differing only in inference-time dropout — share one
     cache entry.
+    The table is bounded ({!table_capacity}, least recently used out).
     Safe to call from pool workers; generation itself runs outside the
     cache lock. *)
 
@@ -19,6 +20,14 @@ val generate_with_lanes :
 
 val stats : unit -> int * int
 (** [(hits, misses)] since start or the last {!clear}. *)
+
+val table_capacity : int
+(** Most designs the in-memory table holds; inserting past it evicts the
+    least recently used entry. *)
+
+val size : unit -> int
+(** Designs currently held in the in-memory table (at most
+    {!table_capacity}). *)
 
 val cache_key :
   ?lanes:int -> ?tiling_enabled:bool -> Constraints.t -> Db_nn.Network.t -> string

@@ -41,12 +41,5 @@ val run_to_completion : ?max_cycles:int -> t -> int list * int
     first — a liveness check on the generated control. *)
 
 val cycles_estimate : Access_pattern.t -> int
-(** Closed-form cycle count: words + row turnarounds + block turnarounds
-    + 2 (trigger and done).  [run_to_completion] must agree. *)
-
-val trace : Access_pattern.t -> int array * int
-(** Closed-form [(addresses, cycles)] for one healthy pattern execution —
-    the exact stream and count {!run_to_completion} would produce, without
-    clocking the FSM.  Validates the pattern.  Used by the specialized
-    simulation engine to precompile replay traces; records no [agu.*]
-    counters (the replayer accounts for those itself). *)
+(** Closed-form cycle count: words + row turnarounds + block turnarounds.
+    [run_to_completion] on a healthy machine must agree. *)

@@ -64,35 +64,37 @@ let qconv2d fmt ~input ~weights ~bias ~stride ~pad ~group =
   assert (cin mod group = 0 && cout mod group = 0 && cin_g = cin / group);
   let out = Array.make (cout * oh * ow) 0 in
   let cout_g = cout / group in
-  for oc = 0 to cout - 1 do
-    let g = oc / cout_g in
-    let base_ic = g * cin_g in
-    let b =
-      match bias with
-      | None -> 0
-      | Some bt -> bt.qdata.(oc) lsl fmt.Fixed.frac_bits
-    in
-    for oy = 0 to oh - 1 do
-      for ox = 0 to ow - 1 do
-        let acc = ref b in
-        for ic = 0 to cin_g - 1 do
-          for ky = 0 to k - 1 do
-            let iy = (oy * stride) + ky - pad in
-            if iy >= 0 && iy < h then
-              for kx = 0 to k - 1 do
-                let ix = (ox * stride) + kx - pad in
-                if ix >= 0 && ix < w then begin
-                  let iv = input.qdata.(((base_ic + ic) * h * w) + (iy * w) + ix) in
-                  let wv = weights.qdata.((((oc * cin_g) + ic) * k * k) + (ky * k) + kx) in
-                  acc := !acc + (iv * wv)
-                end
-              done
-          done
-        done;
-        out.((oc * oh * ow) + (oy * ow) + ox) <- rescale_acc fmt !acc
-      done
-    done
-  done;
+  (* Output channels write disjoint planes, so the fan-out cannot change a
+     bit; the per-channel loop stays the naive reference arithmetic. *)
+  Db_parallel.Pool.parallel_for ~work:(cout * oh * ow * cin_g * k * k) ~lo:0
+    ~hi:cout (fun oc ->
+      let g = oc / cout_g in
+      let base_ic = g * cin_g in
+      let b =
+        match bias with
+        | None -> 0
+        | Some bt -> bt.qdata.(oc) lsl fmt.Fixed.frac_bits
+      in
+      for oy = 0 to oh - 1 do
+        for ox = 0 to ow - 1 do
+          let acc = ref b in
+          for ic = 0 to cin_g - 1 do
+            for ky = 0 to k - 1 do
+              let iy = (oy * stride) + ky - pad in
+              if iy >= 0 && iy < h then
+                for kx = 0 to k - 1 do
+                  let ix = (ox * stride) + kx - pad in
+                  if ix >= 0 && ix < w then begin
+                    let iv = input.qdata.(((base_ic + ic) * h * w) + (iy * w) + ix) in
+                    let wv = weights.qdata.((((oc * cin_g) + ic) * k * k) + (ky * k) + kx) in
+                    acc := !acc + (iv * wv)
+                  end
+                done
+            done
+          done;
+          out.((oc * oh * ow) + (oy * ow) + ox) <- rescale_acc fmt !acc
+        done
+      done);
   { qshape = Shape.chw ~channels:cout ~height:oh ~width:ow; qdata = out }
 
 let qfully_connected fmt ~input ~weights ~bias =

@@ -31,6 +31,20 @@ val rescale_acc : Db_fixed.Fixed.format -> int -> int
     for the specialized simulation engine, whose precompiled kernels must
     rescale exactly as the generic ones do. *)
 
+val qconv2d :
+  Db_fixed.Fixed.format ->
+  input:qtensor ->
+  weights:qtensor ->
+  bias:qtensor option ->
+  stride:int ->
+  pad:int ->
+  group:int ->
+  qtensor
+(** The reference fixed-point convolution: a direct loop per output
+    element, fanned out over output channels (disjoint planes, so
+    bitwise-identical at any pool width).  The oracle the specialized
+    engine's blocked kernel is checked against. *)
+
 val eval_node :
   Db_fixed.Fixed.format ->
   function_eval ->

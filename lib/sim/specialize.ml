@@ -11,9 +11,11 @@
      checker's DB-R003 gate proves every accumulator fits 62 bits, so the
      specialized kernels may hoist, unroll and skip bounds checks without
      changing a single bit — integer addition is associative;
-   - a healthy AGU pattern's address stream and cycle count have closed
-     forms ({!Db_mem.Agu_sim.trace}), so control replay reduces to summing
-     precomputed per-transfer cycle counts under the same watchdog.
+   - a healthy AGU pattern's word and cycle counts have closed forms
+     ({!Db_mem.Access_pattern.word_count},
+     {!Db_mem.Agu_sim.cycles_estimate}), so control replay reduces to
+     summing precomputed per-transfer cycle counts under the same
+     watchdog; no address stream is ever materialised.
 
    Float-order-sensitive layers (LRN, LCN, softmax, recurrent, activation
    maps, pooling with reciprocals, ...) delegate to the generic
@@ -110,8 +112,13 @@ let compile_control (design : Design.t) =
   Array.of_list
     (List.map
        (fun p ->
-         match Db_mem.Agu_sim.trace p with
-         | addrs, cycles -> Healthy { words = Array.length addrs; cycles }
+         match Db_mem.Access_pattern.validate p with
+         | () ->
+             Healthy
+               {
+                 words = Db_mem.Access_pattern.word_count p;
+                 cycles = Db_mem.Agu_sim.cycles_estimate p;
+               }
          | exception e -> Invalid e)
        raw)
 
@@ -221,50 +228,104 @@ let replay_control ~cycle_budget t =
 
 (* --- specialized kernels --------------------------------------------------- *)
 
-(* Unsafe-indexed convolution.  Only entered once [conv_guard] has proved
-   every index the loops compute is in bounds; accumulation is integer so
-   the hoisted/reassociated order is bitwise-identical to the generic
-   kernel's. *)
+(* Unsafe-indexed convolution.  Only entered once [conv]'s guard has proved
+   every index the loops compute is in bounds.
+
+   Each pass over a group's inputs feeds four output channels: one input
+   load per (ic, ky, kx) updates four accumulators, with the four weight
+   rows read in place at stride [cin_g*k*k] (no repacking).  A
+   single-channel tail covers [cout_g mod 4].  Borders are clamped per
+   output pixel — [ky] runs over [max 0 (pad - oy*stride),
+   min k (h + pad - oy*stride)), likewise [kx] — so the MAC loop has no
+   branches and no padded copy of the input is made.  Accumulation is
+   native-int arithmetic, which wraps mod 2^63, so the blocked, reordered
+   sums are bitwise-identical to the generic kernel's. *)
 let conv_kernel fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
     ~bias ~stride ~pad ~group ~cin_g ~cout ~k ~h ~w ~oh ~ow =
   let idata = input.Quantized.qdata and wdata = weights.Quantized.qdata in
   let out = Array.make (cout * oh * ow) 0 in
   let cout_g = cout / group in
-  for oc = 0 to cout - 1 do
-    let g = oc / cout_g in
-    let base_ic = g * cin_g in
-    let b =
-      match bias with
-      | None -> 0
-      | Some (bt : Quantized.qtensor) ->
-          Array.unsafe_get bt.Quantized.qdata oc lsl fmt.Fixed.frac_bits
-    in
-    let wbase_oc = oc * cin_g * k * k in
-    let obase_oc = oc * oh * ow in
-    for oy = 0 to oh - 1 do
-      let obase = obase_oc + (oy * ow) in
-      for ox = 0 to ow - 1 do
-        let acc = ref b in
-        for ic = 0 to cin_g - 1 do
-          let ibase_c = (base_ic + ic) * h * w in
-          let wbase_c = wbase_oc + (ic * k * k) in
-          for ky = 0 to k - 1 do
-            let iy = (oy * stride) + ky - pad in
-            if iy >= 0 && iy < h then begin
-              let ibase = ibase_c + (iy * w) in
-              let wbase = wbase_c + (ky * k) in
-              for kx = 0 to k - 1 do
-                let ix = (ox * stride) + kx - pad in
-                if ix >= 0 && ix < w then
-                  acc :=
-                    !acc
-                    + Array.unsafe_get idata (ibase + ix)
-                      * Array.unsafe_get wdata (wbase + kx)
+  let kk = k * k in
+  let wrow = cin_g * kk in
+  let plane = oh * ow in
+  let bias_of oc =
+    match bias with
+    | None -> 0
+    | Some (bt : Quantized.qtensor) ->
+        Array.unsafe_get bt.Quantized.qdata oc lsl fmt.Fixed.frac_bits
+  in
+  for g = 0 to group - 1 do
+    let ibase_g = g * cin_g * h * w in
+    let oc_lo = g * cout_g in
+    let blocks = cout_g / 4 in
+    (* Four output channels per pass. *)
+    for blk = 0 to blocks - 1 do
+      let oc0 = oc_lo + (4 * blk) in
+      let b0 = bias_of oc0
+      and b1 = bias_of (oc0 + 1)
+      and b2 = bias_of (oc0 + 2)
+      and b3 = bias_of (oc0 + 3) in
+      let w0 = oc0 * wrow in
+      let o0 = oc0 * plane in
+      for oy = 0 to oh - 1 do
+        let iy0 = (oy * stride) - pad in
+        let ky_lo = Int.max 0 (-iy0) and ky_hi = Int.min k (h - iy0) in
+        for ox = 0 to ow - 1 do
+          let ix0 = (ox * stride) - pad in
+          let kx_lo = Int.max 0 (-ix0) and kx_hi = Int.min k (w - ix0) in
+          let a0 = ref b0 and a1 = ref b1 and a2 = ref b2 and a3 = ref b3 in
+          for ic = 0 to cin_g - 1 do
+            let ibase_c = ibase_g + (ic * h * w) + (iy0 * w) + ix0 in
+            let wbase_c = w0 + (ic * kk) in
+            for ky = ky_lo to ky_hi - 1 do
+              let ib = ibase_c + (ky * w) in
+              let wb = wbase_c + (ky * k) in
+              for kx = kx_lo to kx_hi - 1 do
+                let x = Array.unsafe_get idata (ib + kx) in
+                let wi = wb + kx in
+                a0 := !a0 + (x * Array.unsafe_get wdata wi);
+                a1 := !a1 + (x * Array.unsafe_get wdata (wi + wrow));
+                a2 := !a2 + (x * Array.unsafe_get wdata (wi + (2 * wrow)));
+                a3 := !a3 + (x * Array.unsafe_get wdata (wi + (3 * wrow)))
               done
-            end
-          done
-        done;
-        Array.unsafe_set out (obase + ox) (Quantized.rescale_acc fmt !acc)
+            done
+          done;
+          let o = o0 + (oy * ow) + ox in
+          Array.unsafe_set out o (Quantized.rescale_acc fmt !a0);
+          Array.unsafe_set out (o + plane) (Quantized.rescale_acc fmt !a1);
+          Array.unsafe_set out (o + (2 * plane)) (Quantized.rescale_acc fmt !a2);
+          Array.unsafe_set out (o + (3 * plane)) (Quantized.rescale_acc fmt !a3)
+        done
+      done
+    done;
+    (* The [cout_g mod 4] remaining channels, one per pass. *)
+    for oc = oc_lo + (4 * blocks) to oc_lo + cout_g - 1 do
+      let b = bias_of oc in
+      let w0 = oc * wrow in
+      let o0 = oc * plane in
+      for oy = 0 to oh - 1 do
+        let iy0 = (oy * stride) - pad in
+        let ky_lo = Int.max 0 (-iy0) and ky_hi = Int.min k (h - iy0) in
+        for ox = 0 to ow - 1 do
+          let ix0 = (ox * stride) - pad in
+          let kx_lo = Int.max 0 (-ix0) and kx_hi = Int.min k (w - ix0) in
+          let acc = ref b in
+          for ic = 0 to cin_g - 1 do
+            let ibase_c = ibase_g + (ic * h * w) + (iy0 * w) + ix0 in
+            let wbase_c = w0 + (ic * kk) in
+            for ky = ky_lo to ky_hi - 1 do
+              let ib = ibase_c + (ky * w) in
+              let wb = wbase_c + (ky * k) in
+              for kx = kx_lo to kx_hi - 1 do
+                acc :=
+                  !acc
+                  + Array.unsafe_get idata (ib + kx)
+                    * Array.unsafe_get wdata (wb + kx)
+              done
+            done
+          done;
+          Array.unsafe_set out (o0 + (oy * ow) + ox) (Quantized.rescale_acc fmt !acc)
+        done
       done
     done
   done;
@@ -293,6 +354,36 @@ let fc_kernel fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
 
 let numel_matches (q : Quantized.qtensor) =
   Array.length q.Quantized.qdata = Shape.numel q.Quantized.qshape
+
+let conv fmt ~stride ~pad ~group ~(input : Quantized.qtensor)
+    ~(weights : Quantized.qtensor) ~bias =
+  (* Dimension extraction in the generic kernel's order, so a malformed
+     weight shape raises the same error here. *)
+  let ish = input.Quantized.qshape in
+  let cin = Shape.channels ish and h = Shape.height ish and w = Shape.width ish in
+  let wsh = weights.Quantized.qshape in
+  let cout = Shape.dim wsh 0 and cin_g = Shape.dim wsh 1 and k = Shape.dim wsh 2 in
+  let oh =
+    Db_tensor.Ops.conv_output_dim ~input:h ~kernel:k ~stride ~pad_lo:pad ~pad_hi:pad
+  in
+  let ow =
+    Db_tensor.Ops.conv_output_dim ~input:w ~kernel:k ~stride ~pad_lo:pad ~pad_hi:pad
+  in
+  let guard =
+    group > 0 && cin mod group = 0 && cout mod group = 0
+    && cin_g = cin / group && Shape.rank wsh = 4
+    && Shape.dim wsh 3 = k
+    && Array.length input.Quantized.qdata = cin * h * w
+    && numel_matches weights
+    && (match bias with
+       | None -> true
+       | Some (bt : Quantized.qtensor) -> Array.length bt.Quantized.qdata >= cout)
+  in
+  if guard then
+    Some
+      (conv_kernel fmt ~input ~weights ~bias ~stride ~pad ~group ~cin_g ~cout
+         ~k ~h ~w ~oh ~ow)
+  else None
 
 (* --- bound traces ---------------------------------------------------------- *)
 
@@ -369,42 +460,13 @@ let eval_slots ?eval bound ~inputs =
           match kernel, qparams, bottoms with
           | K_conv { stride; pad; group; has_bias }, _, [ input ] -> begin
               match qparams, has_bias with
-              | ([ weights ], false | [ weights; _ ], true) ->
+              | ([ weights ], false | [ weights; _ ], true) -> (
                   let bias =
                     match qparams with [ _; b ] -> Some b | _ -> None
                   in
-                  (* Dimension extraction in the generic kernel's order, so
-                     a malformed weight shape raises the same error here. *)
-                  let ish = input.Quantized.qshape in
-                  let cin = Shape.channels ish
-                  and h = Shape.height ish
-                  and w = Shape.width ish in
-                  let wsh = weights.Quantized.qshape in
-                  let cout = Shape.dim wsh 0
-                  and cin_g = Shape.dim wsh 1
-                  and k = Shape.dim wsh 2 in
-                  let oh =
-                    Db_tensor.Ops.conv_output_dim ~input:h ~kernel:k ~stride
-                      ~pad_lo:pad ~pad_hi:pad
-                  in
-                  let ow =
-                    Db_tensor.Ops.conv_output_dim ~input:w ~kernel:k ~stride
-                      ~pad_lo:pad ~pad_hi:pad
-                  in
-                  let guard =
-                    group > 0 && cin mod group = 0 && cout mod group = 0
-                    && cin_g = cin / group && Shape.rank wsh = 4
-                    && Shape.dim wsh 3 = k
-                    && Array.length input.Quantized.qdata = cin * h * w
-                    && numel_matches weights
-                    && (match bias with
-                       | None -> true
-                       | Some bt -> Array.length bt.Quantized.qdata >= cout)
-                  in
-                  if guard then
-                    conv_kernel fmt ~input ~weights ~bias ~stride ~pad ~group
-                      ~cin_g ~cout ~k ~h ~w ~oh ~ow
-                  else generic qparams bottoms
+                  match conv fmt ~stride ~pad ~group ~input ~weights ~bias with
+                  | Some out -> out
+                  | None -> generic qparams bottoms)
               | _ -> generic qparams bottoms
             end
           | K_fc { has_bias }, _, [ input ] -> begin

@@ -4,7 +4,9 @@
     sorted network, the folding plan's transfer schedule, and every AGU
     access pattern — into a flat trace: per-node kernel plans with
     resolved blob slots, and per-transfer closed-form [(words, cycles)]
-    control steps from {!Db_mem.Agu_sim.trace}.  [bind] then pre-quantizes
+    control steps ({!Db_mem.Access_pattern.word_count},
+    {!Db_mem.Agu_sim.cycles_estimate}; no address stream is built).
+    [bind] then pre-quantizes
     one parameter set against the trace, and [output] / [output_batch]
     replay it with tight integer kernels.
 
@@ -65,6 +67,21 @@ val with_node_params :
 (** A bound trace sharing everything but one node's parameter tensors —
     O(nodes) copy, no re-quantization.  Raises a simulator-component error
     for an unknown node name. *)
+
+val conv :
+  Db_fixed.Fixed.format ->
+  stride:int ->
+  pad:int ->
+  group:int ->
+  input:Db_nn.Quantized.qtensor ->
+  weights:Db_nn.Quantized.qtensor ->
+  bias:Db_nn.Quantized.qtensor option ->
+  Db_nn.Quantized.qtensor option
+(** The specialized convolution kernel on its own: [Some] output,
+    bitwise-identical to {!Db_nn.Quantized.qconv2d} on the same operands,
+    or [None] when the operands fail its shape guard (the engine then runs
+    the generic kernel).  Dimension errors raise as the generic kernel's
+    would. *)
 
 val output :
   ?eval:Db_nn.Quantized.function_eval ->

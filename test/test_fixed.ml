@@ -116,6 +116,42 @@ let prop_saturate_idempotent =
   QCheck.Test.make ~name:"saturate is idempotent" ~count:300 QCheck.int
     (fun v -> Fixed.saturate q (Fixed.saturate q v) = Fixed.saturate q v)
 
+(* [quantize_tensor] is [of_float] element-wise, bit for bit: arbitrary
+   floats mixed with the cases its hoisted loop must keep exact — signed
+   zeros, NaN, infinities, exact half-LSB ties, and magnitudes that
+   saturate. *)
+let prop_quantize_tensor_is_of_float =
+  let value fmt =
+    let lsb = Fixed.resolution fmt in
+    QCheck.Gen.(
+      frequency
+        [
+          (3, float);
+          (3, float_range (-300.0) 300.0);
+          (2, map (fun m -> (float_of_int m +. 0.5) *. lsb) (int_range (-70000) 70000));
+          ( 2,
+            oneofl
+              [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity;
+                Fixed.max_float fmt *. 2.0; Fixed.min_float fmt *. 2.0;
+                1e300; -1e300; Float.max_float; -.Float.max_float ] );
+        ])
+  in
+  let case =
+    QCheck.Gen.(
+      let* fmt = oneofl Fixed.[ q8_4; q16_8; q24_12; q32_16 ] in
+      let+ xs = array_size (int_range 1 64) (value fmt) in
+      (fmt, xs))
+  in
+  QCheck.Test.make ~name:"quantize_tensor = of_float element-wise" ~count:500
+    (QCheck.make
+       ~print:(fun (fmt, xs) ->
+         Printf.sprintf "Q%d.%d [%s]" fmt.Fixed.total_bits fmt.Fixed.frac_bits
+           (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") xs))))
+       case)
+    (fun (fmt, xs) ->
+      let t = Db_tensor.Tensor.of_array (Db_tensor.Shape.vector (Array.length xs)) xs in
+      Fixed.quantize_tensor fmt t = Array.map (Fixed.of_float fmt) xs)
+
 let prop_mul_commutative =
   QCheck.Test.make ~name:"fixed mul commutative" ~count:300
     QCheck.(pair small_int small_int)
@@ -147,5 +183,6 @@ let suite =
           prop_mul_error_bound;
           prop_saturate_idempotent;
           prop_mul_commutative;
+          prop_quantize_tensor_is_of_float;
         ] );
   ]

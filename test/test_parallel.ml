@@ -228,6 +228,28 @@ let test_design_cache_hits () =
   in
   if d1 == d3 then Alcotest.fail "distinct constraints hit the same entry"
 
+let test_design_cache_bounded () =
+  (* More distinct keys than the table holds: the table stays within its
+     capacity, and the most recent key still hits with the very design it
+     returned. *)
+  let module Cache = Db_core.Design_cache in
+  let b = Db_workloads.Benchmarks.find "ANN-0" in
+  let net = b.Db_workloads.Benchmarks.network in
+  let cons = Db_core.Constraints.db_medium in
+  let key i = { cons with Db_core.Constraints.clock_mhz = 100.0 +. float_of_int i } in
+  Cache.clear ();
+  let n = Cache.table_capacity + 8 in
+  let designs = Array.init n (fun i -> Cache.generate (key i) net) in
+  Alcotest.(check bool) "table within capacity" true
+    (Cache.size () <= Cache.table_capacity);
+  let hits0, _ = Cache.stats () in
+  let again = Cache.generate (key (n - 1)) net in
+  let hits1, _ = Cache.stats () in
+  Alcotest.(check int) "recent key hits" (hits0 + 1) hits1;
+  if not (again == designs.(n - 1)) then
+    Alcotest.fail "recent key returned a different design";
+  Cache.clear ()
+
 let suite =
   [
     ( "parallel.pool",
@@ -253,6 +275,9 @@ let suite =
       List.map QCheck_alcotest.to_alcotest
         [ prop_gemm_matches_naive; prop_top_k_matches_sort ] );
     ( "parallel.design_cache",
-      [ Alcotest.test_case "memoised generate" `Quick test_design_cache_hits ]
+      [
+        Alcotest.test_case "memoised generate" `Quick test_design_cache_hits;
+        Alcotest.test_case "bounded table" `Quick test_design_cache_bounded;
+      ]
     );
   ]

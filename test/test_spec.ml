@@ -200,6 +200,96 @@ let test_campaign_engines_agree () =
     (run Db_fault.Campaign.Generic)
     (run Db_fault.Campaign.Specialized)
 
+(* --- the blocked conv kernel against the generic oracle ----------------- *)
+
+module Fixed = Db_fixed.Fixed
+module Quantized = Db_nn.Quantized
+module Shape = Db_tensor.Shape
+
+type conv_case = {
+  c_fmt : Fixed.format;
+  c_group : int;
+  c_cin_g : int;
+  c_cout_g : int;
+  c_k : int;
+  c_stride : int;
+  c_pad : int;
+  c_h : int;
+  c_w : int;
+  c_bias : bool;
+  c_extreme : bool;  (** every weight at the format's min or max *)
+  c_seed : int;
+}
+
+(* Output channels per group both multiples of four (no tail) and not
+   (tail only, or blocks plus tail); inputs down to a single output pixel
+   ([h + 2 pad = k]). *)
+let conv_case_gen =
+  QCheck.Gen.(
+    let* c_fmt = oneofl Fixed.[ q8_4; q16_8; q24_12 ] in
+    let* c_group = int_range 1 3 in
+    let* c_cin_g = int_range 1 4 in
+    let* c_cout_g = oneofl [ 1; 2; 3; 4; 5; 7; 8; 9; 12 ] in
+    let* c_k = int_range 1 11 in
+    let* c_stride = int_range 1 4 in
+    let* c_pad = int_range 0 (c_k - 1) in
+    let min_hw = Int.max 1 (c_k - (2 * c_pad)) in
+    let* c_h = map (( + ) min_hw) (oneofl [ 0; 0; 1; 2; 5; 9 ]) in
+    let* c_w = map (( + ) min_hw) (oneofl [ 0; 0; 1; 3; 6; 10 ]) in
+    let* c_bias = bool in
+    let* c_extreme = bool in
+    let+ c_seed = int_bound 1_000_000 in
+    { c_fmt; c_group; c_cin_g; c_cout_g; c_k; c_stride; c_pad; c_h; c_w;
+      c_bias; c_extreme; c_seed })
+
+let print_conv_case c =
+  Printf.sprintf
+    "Q%d.%d group=%d cin_g=%d cout_g=%d k=%d stride=%d pad=%d h=%d w=%d \
+     bias=%b extreme=%b seed=%d"
+    c.c_fmt.Fixed.total_bits c.c_fmt.Fixed.frac_bits c.c_group c.c_cin_g
+    c.c_cout_g c.c_k c.c_stride c.c_pad c.c_h c.c_w c.c_bias c.c_extreme
+    c.c_seed
+
+let conv_operands c =
+  let rng = Db_util.Rng.create c.c_seed in
+  let lo = Fixed.min_value c.c_fmt and hi = Fixed.max_value c.c_fmt in
+  let any () = lo + Db_util.Rng.int rng (hi - lo + 1) in
+  let qt shape gen =
+    { Quantized.qshape = shape; qdata = Array.init (Shape.numel shape) (fun _ -> gen ()) }
+  in
+  let cin = c.c_group * c.c_cin_g and cout = c.c_group * c.c_cout_g in
+  let input = qt (Shape.chw ~channels:cin ~height:c.c_h ~width:c.c_w) any in
+  let weights =
+    qt
+      (Shape.of_list [ cout; c.c_cin_g; c.c_k; c.c_k ])
+      (if c.c_extreme then fun () -> if Db_util.Rng.bool rng then hi else lo
+       else any)
+  in
+  let bias = if c.c_bias then Some (qt (Shape.vector cout) any) else None in
+  (input, weights, bias)
+
+let prop_conv_matches_oracle =
+  QCheck.Test.make ~name:"blocked conv = Quantized.qconv2d bitwise" ~count:300
+    (QCheck.make ~print:print_conv_case conv_case_gen)
+    (fun c ->
+      let input, weights, bias = conv_operands c in
+      let stride = c.c_stride and pad = c.c_pad and group = c.c_group in
+      let oracle () =
+        Quantized.qconv2d c.c_fmt ~input ~weights ~bias ~stride ~pad ~group
+      in
+      let fast () =
+        Specialize.conv c.c_fmt ~stride ~pad ~group ~input ~weights ~bias
+      in
+      let same (a : Quantized.qtensor) (b : Quantized.qtensor) =
+        Shape.equal a.Quantized.qshape b.Quantized.qshape
+        && a.Quantized.qdata = b.Quantized.qdata
+      in
+      let wide = oracle () in
+      match (fast (), Pool.with_sequential (fun () -> (fast (), oracle ()))) with
+      | Some f, (Some f1, narrow) -> same wide f && same wide f1 && same wide narrow
+      | None, _ | _, (None, _) ->
+          QCheck.Test.fail_reportf "shape guard rejected a well-formed conv")
+
 let suite =
   [
     ( "spec-equivalence",
@@ -215,5 +305,6 @@ let suite =
           Alcotest.test_case "batch = singles" `Quick test_batch_matches_singles;
           Alcotest.test_case "campaign engines agree" `Quick
             test_campaign_engines_agree;
+          QCheck_alcotest.to_alcotest prop_conv_matches_oracle;
         ] );
   ]
