@@ -54,23 +54,32 @@ let shift_right_approx q v n =
   if n < 0 then invalid_arg "Fixed.shift_right_approx: negative shift";
   saturate q (v asr n)
 
-(* [of_float] element-wise, as one loop with the scale and saturation
-   bounds hoisted: the same operations in the same order per element, so
-   bitwise-identical, without a closure call per element.  [bind] of a
-   paper-scale net quantizes tens of millions of weights through here. *)
-let quantize_tensor q t =
-  let (src : Db_tensor.Tensor.buf) = Db_tensor.Tensor.data t in
-  let n = Bigarray.Array1.dim src in
-  let out = Array.make n 0 in
+(* [of_float] over [src.{pos} .. src.{pos+len-1}] into the same indices of
+   [dst], as one loop with the scale and saturation bounds hoisted: the same
+   operations in the same order per element, so bitwise-identical, without
+   a closure call per element.  [bind] of a paper-scale net quantizes tens
+   of millions of weights through here, in disjoint ranges on every core. *)
+let quantize_into q (src : Db_tensor.Tensor.buf) ~pos ~len dst =
+  if pos < 0 || len < 0
+     || pos + len > Bigarray.Array1.dim src
+     || pos + len > Array.length dst
+  then invalid_arg "Fixed.quantize_into: range out of bounds";
   let scale = float_of_int (1 lsl q.frac_bits) in
   let hi = max_value q and lo = min_value q in
-  for i = 0 to n - 1 do
+  for i = pos to pos + len - 1 do
     let scaled = Bigarray.Array1.unsafe_get src i *. scale in
-    if not (Float.is_nan scaled) then begin
-      let v = int_of_float (Float.round scaled) in
-      Array.unsafe_set out i (if v > hi then hi else if v < lo then lo else v)
-    end
-  done;
+    Array.unsafe_set dst i
+      (if Float.is_nan scaled then 0
+       else
+         let v = int_of_float (Float.round scaled) in
+         if v > hi then hi else if v < lo then lo else v)
+  done
+
+let quantize_tensor q t =
+  let src = Db_tensor.Tensor.data t in
+  let n = Bigarray.Array1.dim src in
+  let out = Array.make n 0 in
+  quantize_into q src ~pos:0 ~len:n out;
   out
 
 let dequantize_tensor q ~shape values =

@@ -56,6 +56,13 @@ val shift_right_approx : format -> int -> int -> int
 val quantize_tensor : format -> Db_tensor.Tensor.t -> int array
 (** Element-wise {!of_float}. *)
 
+val quantize_into :
+  format -> Db_tensor.Tensor.buf -> pos:int -> len:int -> int array -> unit
+(** [quantize_into q src ~pos ~len dst] sets [dst.(i) <- of_float q src.{i}]
+    for every [i] in [\[pos, pos + len)], leaving the rest of [dst]
+    untouched, so disjoint ranges may be filled from different domains.
+    Raises [Invalid_argument] if the range leaves [src] or [dst]. *)
+
 val dequantize_tensor : format -> shape:Db_tensor.Shape.t -> int array -> Db_tensor.Tensor.t
 
 val roundtrip_error_bound : format -> float

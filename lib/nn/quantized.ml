@@ -168,6 +168,38 @@ let qmap fmt f input =
       Array.map (fun v -> Fixed.of_float fmt (f (Fixed.to_float fmt v))) input.qdata;
   }
 
+(* ReLU and Sign are comparators in hardware, not tables, so they map words
+   to words with no float detour and never consult the evaluator.  Each is
+   bitwise-equal to [qmap fmt (exact_activation act)] for every int:
+
+   - Sign: [to_float v >= 0.0] exactly when [v >= 0] (the conversion is
+     monotone and keeps the sign), so the result is [of_float] of +-1.0.
+   - ReLU: a negative word becomes +0.0, hence 0.  A positive word below
+     2^52 converts to float and back exactly, so the float formula is
+     [saturate v].  Above that the float formula rounds (and [int_of_float]
+     can overflow near [max_int]); such words, never produced by a checked
+     design, take the float formula itself. *)
+let relu_exact_limit = 1 lsl 52
+
+let qrelu fmt input =
+  let src = input.qdata in
+  let out = Array.make (Array.length src) 0 in
+  let hi = Fixed.max_value fmt in
+  for i = 0 to Array.length src - 1 do
+    let v = Array.unsafe_get src i in
+    if v > 0 then
+      Array.unsafe_set out i
+        (if v >= relu_exact_limit then
+           Fixed.of_float fmt (exact_activation Layer.Relu (Fixed.to_float fmt v))
+         else if v > hi then hi
+         else v)
+  done;
+  { input with qdata = out }
+
+let qsign fmt input =
+  let one = Fixed.of_float fmt 1.0 and minus_one = Fixed.of_float fmt (-1.0) in
+  { input with qdata = Array.map (fun v -> if v >= 0 then one else minus_one) input.qdata }
+
 let qrecurrent fmt ~eval ~w_in ~w_rec ~bias ~steps input =
   let nout = Shape.dim w_in.qshape 0 in
   let state = ref { qshape = Shape.vector nout; qdata = Array.make nout 0 } in
@@ -291,6 +323,8 @@ let eval_node fmt eval layer ~params ~bottoms =
           qfully_connected fmt ~input:(flat (one ())) ~weights:w ~bias:(Some b)
       | _ -> fail "inner product: wrong parameter tensors"
     end
+  | Layer.Act Layer.Relu -> qrelu fmt (one ())
+  | Layer.Act Layer.Sign -> qsign fmt (one ())
   | Layer.Act act -> qmap fmt (eval.eval_activation act) (one ())
   | Layer.Lrn { local_size; alpha; beta; k } ->
       qlrn fmt ~eval ~input:(one ()) ~local_size ~alpha ~beta ~k

@@ -43,7 +43,20 @@ val qconv2d :
 (** The reference fixed-point convolution: a direct loop per output
     element, fanned out over output channels (disjoint planes, so
     bitwise-identical at any pool width).  The oracle the specialized
-    engine's blocked kernel is checked against. *)
+    engine's tiled kernel is checked against. *)
+
+val qrelu : Db_fixed.Fixed.format -> qtensor -> qtensor
+(** Integer ReLU: [max 0 v], saturated to the format.  Bitwise-equal to
+    requantising [exact_eval]'s float ReLU of every word, for every int
+    (words of 2^52 and above take the float formula itself). *)
+
+val qsign : Db_fixed.Fixed.format -> qtensor -> qtensor
+(** Integer Sign: the format's +1.0 for [v >= 0], -1.0 otherwise.
+    Bitwise-equal to requantising [exact_eval]'s float Sign of every word.
+
+    ReLU and Sign are comparators in hardware, so {!eval_node} runs these
+    two maps whatever evaluator it is given; both evaluators in the
+    repository compute them exactly. *)
 
 val eval_node :
   Db_fixed.Fixed.format ->

@@ -17,8 +17,10 @@
      summing precomputed per-transfer cycle counts under the same
      watchdog; no address stream is ever materialised.
 
-   Float-order-sensitive layers (LRN, LCN, softmax, recurrent, activation
-   maps, pooling with reciprocals, ...) delegate to the generic
+   ReLU and Sign run the generic engine's own integer maps
+   ({!Quantized.qrelu}, {!Quantized.qsign}).  Float-order-sensitive layers
+   (LRN, LCN, softmax, recurrent, sigmoid/tanh maps, pooling with
+   reciprocals, ...) delegate to the generic
    {!Quantized.eval_node} verbatim, as does any node whose parameters fail
    the fast path's shape guard — the guard failure cases re-run the generic
    kernel so error behaviour stays identical too. *)
@@ -228,25 +230,164 @@ let replay_control ~cycle_budget t =
 
 (* --- specialized kernels --------------------------------------------------- *)
 
-(* Unsafe-indexed convolution.  Only entered once [conv]'s guard has proved
-   every index the loops compute is in bounds.
+(* Unsafe-indexed convolution as im2col tiles feeding a register-blocked
+   micro-kernel.  Only entered once [conv]'s guard has proved every index
+   the loops compute is in bounds.
 
-   Each pass over a group's inputs feeds four output channels: one input
-   load per (ic, ky, kx) updates four accumulators, with the four weight
-   rows read in place at stride [cin_g*k*k] (no repacking).  A
-   single-channel tail covers [cout_g mod 4].  Borders are clamped per
-   output pixel — [ky] runs over [max 0 (pad - oy*stride),
-   min k (h + pad - oy*stride)), likewise [kx] — so the MAC loop has no
-   branches and no padded copy of the input is made.  Accumulation is
-   native-int arithmetic, which wraps mod 2^63, so the blocked, reordered
-   sums are bitwise-identical to the generic kernel's. *)
+   Per group, the output plane is walked in tiles of pixels whose receptive
+   fields fill at most [tile_words] words.  Each tile's fields are written
+   to a pair-interleaved patch: tap [t] (order ic, ky, kx) of tile pixel
+   [2q + j] lands at [(q*kk + t)*2 + j], padding taps as 0, and an odd last
+   pixel gets a zero partner.  Per block of four output channels the four
+   weight rows are interleaved into [wp.(4t + j)], with the four scaled
+   biases after them, and [micro_4x2] runs each pixel pair against them.
+   The [cout_g mod 4] tail channels run [micro_1x2] over the same patch,
+   reading their weight row in place.
+
+   Accumulation is native-int arithmetic, which wraps mod 2^63, and padding
+   taps add a literal 0, so the reordered sums are bitwise-identical to the
+   generic kernel's. *)
+
+(* Patch words per tile: 512 KiB, so a tile's patch stays in L2 while every
+   channel block streams over it.  A field wider than half of it still gets
+   a tile of two pixels. *)
+let tile_words = 65536
+
+(* Per-domain patch and packed-weight buffers, grown on demand and reused
+   by every later call on the domain.  Every word a call reads it has
+   written first, so a previous call's contents never leak through.  Only
+   [conv_kernel] touches them, and it never enters the pool, so no other
+   task can run on this domain while a call holds them. *)
+type scratch = { mutable patch : int array; mutable wp : int array }
+
+let scratch_key = Domain.DLS.new_key (fun () -> { patch = [||]; wp = [||] })
+
+(* Channels [j0] and [j0 + 1] of a packed block against the pixel pair
+   whose patch starts at [pi]: raw sums into [out] at [o] (and [o + 1] when
+   [pair]), one channel row [plane] apart.  Four accumulators, two running
+   indices and the two buffers are all the loop keeps live, which fits the
+   amd64 register file; eight accumulators do not, and spill on every tap.
+   Taps run backwards, two per iteration, so the loop test compares
+   against the start. *)
+let[@inline never] micro_2x2 (patch : int array) (wp : int array) ~pi ~kk ~j0
+    (out : int array) ~o ~plane ~pair =
+  let b0 = Array.unsafe_get wp ((4 * kk) + j0)
+  and b1 = Array.unsafe_get wp ((4 * kk) + j0 + 1) in
+  let a00 = ref b0 and a01 = ref b0 and a10 = ref b1 and a11 = ref b1 in
+  let p = ref (pi + (2 * kk)) and wi = ref ((4 * kk) + j0) in
+  if kk land 1 = 1 then begin
+    p := !p - 2;
+    wi := !wi - 4;
+    let x0 = Array.unsafe_get patch !p and x1 = Array.unsafe_get patch (!p + 1) in
+    let w = Array.unsafe_get wp !wi in
+    a00 := !a00 + (x0 * w);
+    a01 := !a01 + (x1 * w);
+    let w = Array.unsafe_get wp (!wi + 1) in
+    a10 := !a10 + (x0 * w);
+    a11 := !a11 + (x1 * w)
+  end;
+  while !p > pi do
+    p := !p - 4;
+    wi := !wi - 8;
+    let x0 = Array.unsafe_get patch !p and x1 = Array.unsafe_get patch (!p + 1) in
+    let w = Array.unsafe_get wp !wi in
+    a00 := !a00 + (x0 * w);
+    a01 := !a01 + (x1 * w);
+    let w = Array.unsafe_get wp (!wi + 1) in
+    a10 := !a10 + (x0 * w);
+    a11 := !a11 + (x1 * w);
+    let x0 = Array.unsafe_get patch (!p + 2)
+    and x1 = Array.unsafe_get patch (!p + 3) in
+    let w = Array.unsafe_get wp (!wi + 4) in
+    a00 := !a00 + (x0 * w);
+    a01 := !a01 + (x1 * w);
+    let w = Array.unsafe_get wp (!wi + 5) in
+    a10 := !a10 + (x0 * w);
+    a11 := !a11 + (x1 * w)
+  done;
+  Array.unsafe_set out o !a00;
+  Array.unsafe_set out (o + plane) !a10;
+  if pair then begin
+    Array.unsafe_set out (o + 1) !a01;
+    Array.unsafe_set out (o + plane + 1) !a11
+  end
+
+(* Four packed channels against one pixel pair, as two register-resident
+   halves, then the eight sums rescaled in place. *)
+let micro_4x2 fmt patch wp ~pi ~kk out ~o ~plane ~pair =
+  micro_2x2 patch wp ~pi ~kk ~j0:0 out ~o ~plane ~pair;
+  micro_2x2 patch wp ~pi ~kk ~j0:2 out ~o:(o + (2 * plane)) ~plane ~pair;
+  for j = 0 to 3 do
+    let oj = o + (j * plane) in
+    Array.unsafe_set out oj (Quantized.rescale_acc fmt (Array.unsafe_get out oj));
+    if pair then
+      Array.unsafe_set out (oj + 1)
+        (Quantized.rescale_acc fmt (Array.unsafe_get out (oj + 1)))
+  done
+
+(* One channel, its weight row read in place at [wbase], against one pixel
+   pair. *)
+let[@inline never] micro_1x2 fmt (patch : int array) (wdata : int array) ~pi
+    ~wbase ~kk ~bias (out : int array) ~o ~pair =
+  let a0 = ref bias and a1 = ref bias in
+  for t = 0 to kk - 1 do
+    let w = Array.unsafe_get wdata (wbase + t) in
+    a0 := !a0 + (Array.unsafe_get patch (pi + (2 * t)) * w);
+    a1 := !a1 + (Array.unsafe_get patch (pi + (2 * t) + 1) * w)
+  done;
+  Array.unsafe_set out o (Quantized.rescale_acc fmt !a0);
+  if pair then Array.unsafe_set out (o + 1) (Quantized.rescale_acc fmt !a1)
+
+(* Writes the receptive fields of output pixels [p0, p0 + np) of the group
+   whose inputs start at [ibase] into [patch], pair-interleaved. *)
+let fill_patch (patch : int array) (idata : int array) ~ibase ~cin_g ~h ~w ~k
+    ~stride ~pad ~ow ~p0 ~np =
+  let kk = cin_g * k * k in
+  for l = 0 to np - 1 do
+    let p = p0 + l in
+    let iy0 = (p / ow * stride) - pad and ix0 = (p mod ow * stride) - pad in
+    (* Taps [ky_lo, ky_hi) x [kx_lo, kx_hi) fall inside the input. *)
+    let ky_lo = Int.min k (Int.max 0 (-iy0)) in
+    let ky_hi = Int.max ky_lo (Int.min k (h - iy0)) in
+    let kx_lo = Int.min k (Int.max 0 (-ix0)) in
+    let kx_hi = Int.max kx_lo (Int.min k (w - ix0)) in
+    let dst_l = (l / 2 * kk * 2) + (l land 1) in
+    for ic = 0 to cin_g - 1 do
+      let src_c = ibase + (ic * h * w) + (iy0 * w) + ix0 in
+      for ky = 0 to k - 1 do
+        let d = dst_l + (2 * ((ic * k * k) + (ky * k))) in
+        if ky < ky_lo || ky >= ky_hi then
+          for kx = 0 to k - 1 do
+            Array.unsafe_set patch (d + (2 * kx)) 0
+          done
+        else begin
+          for kx = 0 to kx_lo - 1 do
+            Array.unsafe_set patch (d + (2 * kx)) 0
+          done;
+          let s = src_c + (ky * w) in
+          for kx = kx_lo to kx_hi - 1 do
+            Array.unsafe_set patch (d + (2 * kx)) (Array.unsafe_get idata (s + kx))
+          done;
+          for kx = kx_hi to k - 1 do
+            Array.unsafe_set patch (d + (2 * kx)) 0
+          done
+        end
+      done
+    done
+  done;
+  if np land 1 = 1 then begin
+    let d = (np / 2 * kk * 2) + 1 in
+    for t = 0 to kk - 1 do
+      Array.unsafe_set patch (d + (2 * t)) 0
+    done
+  end
+
 let conv_kernel fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
     ~bias ~stride ~pad ~group ~cin_g ~cout ~k ~h ~w ~oh ~ow =
   let idata = input.Quantized.qdata and wdata = weights.Quantized.qdata in
   let out = Array.make (cout * oh * ow) 0 in
   let cout_g = cout / group in
-  let kk = k * k in
-  let wrow = cin_g * kk in
+  let kk = cin_g * k * k in
   let plane = oh * ow in
   let bias_of oc =
     match bias with
@@ -254,79 +395,47 @@ let conv_kernel fmt ~(input : Quantized.qtensor) ~(weights : Quantized.qtensor)
     | Some (bt : Quantized.qtensor) ->
         Array.unsafe_get bt.Quantized.qdata oc lsl fmt.Fixed.frac_bits
   in
+  (* Pixels per tile: even, at least one pair, and no more than the plane
+     needs, so a small conv does not grow a full-size patch. *)
+  let tile_px =
+    Int.min (Int.max 2 ((tile_words / kk) land lnot 1)) (plane + (plane land 1))
+  in
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.patch < tile_px * kk then sc.patch <- Array.make (tile_px * kk) 0;
+  if Array.length sc.wp < (4 * kk) + 4 then sc.wp <- Array.make ((4 * kk) + 4) 0;
+  let patch = sc.patch and wp = sc.wp in
+  let blocks = cout_g / 4 in
   for g = 0 to group - 1 do
-    let ibase_g = g * cin_g * h * w in
     let oc_lo = g * cout_g in
-    let blocks = cout_g / 4 in
-    (* Four output channels per pass. *)
-    for blk = 0 to blocks - 1 do
-      let oc0 = oc_lo + (4 * blk) in
-      let b0 = bias_of oc0
-      and b1 = bias_of (oc0 + 1)
-      and b2 = bias_of (oc0 + 2)
-      and b3 = bias_of (oc0 + 3) in
-      let w0 = oc0 * wrow in
-      let o0 = oc0 * plane in
-      for oy = 0 to oh - 1 do
-        let iy0 = (oy * stride) - pad in
-        let ky_lo = Int.max 0 (-iy0) and ky_hi = Int.min k (h - iy0) in
-        for ox = 0 to ow - 1 do
-          let ix0 = (ox * stride) - pad in
-          let kx_lo = Int.max 0 (-ix0) and kx_hi = Int.min k (w - ix0) in
-          let a0 = ref b0 and a1 = ref b1 and a2 = ref b2 and a3 = ref b3 in
-          for ic = 0 to cin_g - 1 do
-            let ibase_c = ibase_g + (ic * h * w) + (iy0 * w) + ix0 in
-            let wbase_c = w0 + (ic * kk) in
-            for ky = ky_lo to ky_hi - 1 do
-              let ib = ibase_c + (ky * w) in
-              let wb = wbase_c + (ky * k) in
-              for kx = kx_lo to kx_hi - 1 do
-                let x = Array.unsafe_get idata (ib + kx) in
-                let wi = wb + kx in
-                a0 := !a0 + (x * Array.unsafe_get wdata wi);
-                a1 := !a1 + (x * Array.unsafe_get wdata (wi + wrow));
-                a2 := !a2 + (x * Array.unsafe_get wdata (wi + (2 * wrow)));
-                a3 := !a3 + (x * Array.unsafe_get wdata (wi + (3 * wrow)))
-              done
-            done
+    let p0 = ref 0 in
+    while !p0 < plane do
+      let np = Int.min tile_px (plane - !p0) in
+      fill_patch patch idata ~ibase:(g * cin_g * h * w) ~cin_g ~h ~w ~k ~stride
+        ~pad ~ow ~p0:!p0 ~np;
+      for blk = 0 to blocks - 1 do
+        let oc0 = oc_lo + (4 * blk) in
+        for j = 0 to 3 do
+          let row = (oc0 + j) * kk in
+          for t = 0 to kk - 1 do
+            Array.unsafe_set wp ((4 * t) + j) (Array.unsafe_get wdata (row + t))
           done;
-          let o = o0 + (oy * ow) + ox in
-          Array.unsafe_set out o (Quantized.rescale_acc fmt !a0);
-          Array.unsafe_set out (o + plane) (Quantized.rescale_acc fmt !a1);
-          Array.unsafe_set out (o + (2 * plane)) (Quantized.rescale_acc fmt !a2);
-          Array.unsafe_set out (o + (3 * plane)) (Quantized.rescale_acc fmt !a3)
+          Array.unsafe_set wp ((4 * kk) + j) (bias_of (oc0 + j))
+        done;
+        let o = (oc0 * plane) + !p0 in
+        for q = 0 to (np - 1) / 2 do
+          micro_4x2 fmt patch wp ~pi:(2 * q * kk) ~kk out ~o:(o + (2 * q)) ~plane
+            ~pair:((2 * q) + 1 < np)
         done
-      done
-    done;
-    (* The [cout_g mod 4] remaining channels, one per pass. *)
-    for oc = oc_lo + (4 * blocks) to oc_lo + cout_g - 1 do
-      let b = bias_of oc in
-      let w0 = oc * wrow in
-      let o0 = oc * plane in
-      for oy = 0 to oh - 1 do
-        let iy0 = (oy * stride) - pad in
-        let ky_lo = Int.max 0 (-iy0) and ky_hi = Int.min k (h - iy0) in
-        for ox = 0 to ow - 1 do
-          let ix0 = (ox * stride) - pad in
-          let kx_lo = Int.max 0 (-ix0) and kx_hi = Int.min k (w - ix0) in
-          let acc = ref b in
-          for ic = 0 to cin_g - 1 do
-            let ibase_c = ibase_g + (ic * h * w) + (iy0 * w) + ix0 in
-            let wbase_c = w0 + (ic * kk) in
-            for ky = ky_lo to ky_hi - 1 do
-              let ib = ibase_c + (ky * w) in
-              let wb = wbase_c + (ky * k) in
-              for kx = kx_lo to kx_hi - 1 do
-                acc :=
-                  !acc
-                  + Array.unsafe_get idata (ib + kx)
-                    * Array.unsafe_get wdata (wb + kx)
-              done
-            done
-          done;
-          Array.unsafe_set out (o0 + (oy * ow) + ox) (Quantized.rescale_acc fmt !acc)
+      done;
+      for oc = oc_lo + (4 * blocks) to oc_lo + cout_g - 1 do
+        let b = bias_of oc in
+        let o = (oc * plane) + !p0 in
+        for q = 0 to (np - 1) / 2 do
+          micro_1x2 fmt patch wdata ~pi:(2 * q * kk) ~wbase:(oc * kk) ~kk ~bias:b
+            out ~o:(o + (2 * q)) ~pair:((2 * q) + 1 < np)
         done
-      done
+      done;
+      p0 := !p0 + np
     done
   done;
   { Quantized.qshape = Shape.chw ~channels:cout ~height:oh ~width:ow; qdata = out }
@@ -392,18 +501,42 @@ type bound = {
   bd_qparams : Quantized.qtensor list array;  (** pre-quantized, per slot *)
 }
 
+(* Words per quantize task in [bind]: scheduling costs nothing next to
+   64Ki conversions, and AlexNet's 61M weights still make ~900 tasks to
+   spread over the pool. *)
+let bind_chunk = 65536
+
+(* Every output tensor is allocated first, in plan order (so a missing
+   parameter raises where it always did), then all of them are filled as
+   one flat list of fixed-size chunks in a single parallel loop.  Chunks
+   write disjoint ranges with [of_float]'s per-element operations, so the
+   result is the same at any pool width. *)
 let bind t params =
-  {
-    bd_spec = t;
-    bd_qparams =
-      Array.map
-        (fun np ->
-          match np.np_kernel with
-          | K_input _ | K_bad_input -> []
-          | K_conv _ | K_fc _ | K_act _ | K_generic ->
-              List.map (Quantized.quantize t.sp_fmt) (Params.get params np.np_name))
-        t.sp_plan;
-  }
+  let chunks = ref [] in
+  let bd_qparams =
+    Array.map
+      (fun np ->
+        match np.np_kernel with
+        | K_input _ | K_bad_input -> []
+        | K_conv _ | K_fc _ | K_act _ | K_generic ->
+            List.map
+              (fun tensor ->
+                let src = Tensor.data tensor in
+                let qdata = Array.make (Bigarray.Array1.dim src) 0 in
+                for c = 0 to (Array.length qdata - 1) / bind_chunk do
+                  chunks := (src, qdata, c * bind_chunk) :: !chunks
+                done;
+                { Quantized.qshape = Tensor.shape tensor; qdata })
+              (Params.get params np.np_name))
+      t.sp_plan
+  in
+  let chunks = Array.of_list !chunks in
+  Pool.parallel_for ~chunk:1 ~lo:0 ~hi:(Array.length chunks) (fun i ->
+      let src, dst, pos = chunks.(i) in
+      Fixed.quantize_into t.sp_fmt src ~pos
+        ~len:(Int.min bind_chunk (Array.length dst - pos))
+        dst);
+  { bd_spec = t; bd_qparams }
 
 let spec bound = bound.bd_spec
 
@@ -489,6 +622,8 @@ let eval_slots ?eval bound ~inputs =
                   else generic qparams bottoms
               | _ -> generic qparams bottoms
             end
+          | K_act Layer.Relu, _, [ input ] -> Quantized.qrelu fmt input
+          | K_act Layer.Sign, _, [ input ] -> Quantized.qsign fmt input
           | K_act act, _, [ input ] ->
               (* [eval_node] runs [qmap fmt (eval.eval_activation act)] and
                  ignores the node's parameters; the same map with the

@@ -54,7 +54,12 @@ val replay_control : cycle_budget:int -> t -> int
 val bind : t -> Db_nn.Params.t -> bound
 (** Quantize the parameter set once, up front.  Amortises the dominant
     per-call cost of the generic engine (re-quantizing every weight on
-    every forward pass) across all subsequent playbacks. *)
+    every forward pass) across all subsequent playbacks.  The tensors are
+    quantized in chunks of {!bind_chunk} words across the domain pool;
+    the result is the same at any DEEPBURNING_JOBS. *)
+
+val bind_chunk : int
+(** Words per parallel quantize task in {!bind}. *)
 
 val spec : bound -> t
 
@@ -68,6 +73,12 @@ val with_node_params :
     O(nodes) copy, no re-quantization.  Raises a simulator-component error
     for an unknown node name. *)
 
+val tile_words : int
+(** Patch words per im2col tile of the convolution kernel (a fixed
+    constant): a tile holds [max 2 (tile_words / (cin_g*k*k))] output
+    pixels, rounded down to an even count, or the whole plane when that
+    is smaller. *)
+
 val conv :
   Db_fixed.Fixed.format ->
   stride:int ->
@@ -77,7 +88,8 @@ val conv :
   weights:Db_nn.Quantized.qtensor ->
   bias:Db_nn.Quantized.qtensor option ->
   Db_nn.Quantized.qtensor option
-(** The specialized convolution kernel on its own: [Some] output,
+(** The specialized convolution kernel on its own (im2col tiles, a
+    register-blocked micro-kernel): [Some] output,
     bitwise-identical to {!Db_nn.Quantized.qconv2d} on the same operands,
     or [None] when the operands fail its shape guard (the engine then runs
     the generic kernel).  Dimension errors raise as the generic kernel's

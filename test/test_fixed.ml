@@ -152,6 +152,66 @@ let prop_quantize_tensor_is_of_float =
       let t = Db_tensor.Tensor.of_array (Db_tensor.Shape.vector (Array.length xs)) xs in
       Fixed.quantize_tensor fmt t = Array.map (Fixed.of_float fmt) xs)
 
+(* [quantize_into] over any split of the index range, filled in any order,
+   is [quantize_tensor] — the contract [Specialize.bind] relies on to fill
+   one tensor from several domains.  Stale destination words (NaN inputs
+   included) must be overwritten, not left in place. *)
+let prop_quantize_into_splits =
+  let case =
+    QCheck.Gen.(
+      let* fmt = oneofl Fixed.[ q8_4; q16_8; q24_12; q32_16 ] in
+      let* xs =
+        array_size (int_range 1 200)
+          (frequency
+             [ (6, float_range (-300.0) 300.0);
+               (1, oneofl [ Float.nan; Float.infinity; -0.0; 1e300 ]) ])
+      in
+      let n = Array.length xs in
+      let* cuts = list_size (int_range 0 6) (int_range 0 n) in
+      let+ reversed = bool in
+      (fmt, xs, List.sort_uniq compare (0 :: n :: cuts), reversed))
+  in
+  QCheck.Test.make ~name:"quantize_into over split ranges = quantize_tensor"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (fmt, xs, cuts, reversed) ->
+         Printf.sprintf "Q%d.%d n=%d cuts=[%s] reversed=%b" fmt.Fixed.total_bits
+           fmt.Fixed.frac_bits (Array.length xs)
+           (String.concat ";" (List.map string_of_int cuts))
+           reversed)
+       case)
+    (fun (fmt, xs, cuts, reversed) ->
+      let t = Db_tensor.Tensor.of_array (Db_tensor.Shape.vector (Array.length xs)) xs in
+      let src = Db_tensor.Tensor.data t in
+      let dst = Array.make (Array.length xs) 12345 in
+      let rec ranges = function
+        | a :: (b :: _ as rest) -> (a, b - a) :: ranges rest
+        | [ _ ] | [] -> []
+      in
+      let ranges = ranges cuts in
+      List.iter
+        (fun (pos, len) -> Fixed.quantize_into fmt src ~pos ~len dst)
+        (if reversed then List.rev ranges else ranges);
+      dst = Fixed.quantize_tensor fmt t)
+
+let test_quantize_into_bounds () =
+  let t = Db_tensor.Tensor.of_array (Db_tensor.Shape.vector 4) [| 1.; 2.; 3.; 4. |] in
+  let src = Db_tensor.Tensor.data t in
+  let rejects name ~pos ~len ~dst_len =
+    Alcotest.(check bool) name true
+      (match Fixed.quantize_into q src ~pos ~len (Array.make dst_len 0) with
+       | () -> false
+       | exception Invalid_argument _ -> true)
+  in
+  rejects "past the source" ~pos:2 ~len:3 ~dst_len:8;
+  rejects "past the destination" ~pos:0 ~len:4 ~dst_len:3;
+  rejects "negative position" ~pos:(-1) ~len:1 ~dst_len:4;
+  rejects "negative length" ~pos:1 ~len:(-1) ~dst_len:4;
+  let dst = Array.make 4 7 in
+  Fixed.quantize_into q src ~pos:1 ~len:2 dst;
+  Alcotest.(check (array int)) "only the range is written"
+    [| 7; Fixed.of_float q 2.; Fixed.of_float q 3.; 7 |] dst
+
 let prop_mul_commutative =
   QCheck.Test.make ~name:"fixed mul commutative" ~count:300
     QCheck.(pair small_int small_int)
@@ -174,6 +234,7 @@ let suite =
         Alcotest.test_case "shifting latch" `Quick test_shift_right_approx;
         Alcotest.test_case "stock formats" `Quick test_formats_stock;
         Alcotest.test_case "tensor quantise" `Quick test_tensor_quantise;
+        Alcotest.test_case "quantize_into bounds" `Quick test_quantize_into_bounds;
       ] );
     ( "fixed.properties",
       List.map QCheck_alcotest.to_alcotest
@@ -184,5 +245,6 @@ let suite =
           prop_saturate_idempotent;
           prop_mul_commutative;
           prop_quantize_tensor_is_of_float;
+          prop_quantize_into_splits;
         ] );
   ]

@@ -200,7 +200,7 @@ let test_campaign_engines_agree () =
     (run Db_fault.Campaign.Generic)
     (run Db_fault.Campaign.Specialized)
 
-(* --- the blocked conv kernel against the generic oracle ----------------- *)
+(* --- the tiled conv kernel against the generic oracle ------------------- *)
 
 module Fixed = Db_fixed.Fixed
 module Quantized = Db_nn.Quantized
@@ -221,21 +221,49 @@ type conv_case = {
   c_seed : int;
 }
 
-(* Output channels per group both multiples of four (no tail) and not
-   (tail only, or blocks plus tail); inputs down to a single output pixel
-   ([h + 2 pad = k]). *)
+(* Output channels per group cover every [cout_g mod 4], with and without
+   whole four-channel blocks before the tail, in three shape families:
+   - small grouped, strided, padded shapes with [k] from 1 to 11, down to a
+     single output pixel ([h + 2 pad = k]);
+   - one input channel, 3x3, on planes of 100 to 131 pixels a side: more
+     than one tile per plane, and odd sides end in an odd last tile;
+   - a receptive field of more than [tile_words / 2] words, so every tile
+     is a single pixel pair. *)
 let conv_case_gen =
   QCheck.Gen.(
+    let small =
+      let* c_group = int_range 1 3 in
+      let* c_cin_g = int_range 1 4 in
+      let* c_k = int_range 1 11 in
+      let* c_stride = int_range 1 4 in
+      let* c_pad = int_range 0 (c_k - 1) in
+      let min_hw = Int.max 1 (c_k - (2 * c_pad)) in
+      let* c_h = map (( + ) min_hw) (oneofl [ 0; 0; 1; 2; 5; 9 ]) in
+      let+ c_w = map (( + ) min_hw) (oneofl [ 0; 0; 1; 3; 6; 10 ]) in
+      (c_group, c_cin_g, c_k, c_stride, c_pad, c_h, c_w)
+    in
+    let multi_tile =
+      let* c_group = int_range 1 2 in
+      let* c_pad = int_range 0 1 in
+      let* c_h = int_range 100 131 in
+      let+ c_w = int_range 100 131 in
+      (c_group, 1, 3, 1, c_pad, c_h, c_w)
+    in
+    let wide_field =
+      let* c_k = oneofl [ 3; 5 ] in
+      let* extra = int_range 1 8 in
+      let* c_stride = int_range 1 2 in
+      let* c_pad = int_range 0 1 in
+      let* c_h = int_range (c_k - (2 * c_pad)) (c_k + 2) in
+      let+ c_w = int_range (c_k - (2 * c_pad)) (c_k + 2) in
+      let c_cin_g = (Specialize.tile_words / 2 / (c_k * c_k)) + extra in
+      (1, c_cin_g, c_k, c_stride, c_pad, c_h, c_w)
+    in
+    let* c_group, c_cin_g, c_k, c_stride, c_pad, c_h, c_w =
+      frequency [ (8, small); (1, multi_tile); (1, wide_field) ]
+    in
     let* c_fmt = oneofl Fixed.[ q8_4; q16_8; q24_12 ] in
-    let* c_group = int_range 1 3 in
-    let* c_cin_g = int_range 1 4 in
-    let* c_cout_g = oneofl [ 1; 2; 3; 4; 5; 7; 8; 9; 12 ] in
-    let* c_k = int_range 1 11 in
-    let* c_stride = int_range 1 4 in
-    let* c_pad = int_range 0 (c_k - 1) in
-    let min_hw = Int.max 1 (c_k - (2 * c_pad)) in
-    let* c_h = map (( + ) min_hw) (oneofl [ 0; 0; 1; 2; 5; 9 ]) in
-    let* c_w = map (( + ) min_hw) (oneofl [ 0; 0; 1; 3; 6; 10 ]) in
+    let* c_cout_g = oneofl [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 12 ] in
     let* c_bias = bool in
     let* c_extreme = bool in
     let+ c_seed = int_bound 1_000_000 in
@@ -268,27 +296,181 @@ let conv_operands c =
   let bias = if c.c_bias then Some (qt (Shape.vector cout) any) else None in
   (input, weights, bias)
 
+let same_qtensor (a : Quantized.qtensor) (b : Quantized.qtensor) =
+  Shape.equal a.Quantized.qshape b.Quantized.qshape
+  && a.Quantized.qdata = b.Quantized.qdata
+
+let oracle_conv c (input, weights, bias) =
+  Quantized.qconv2d c.c_fmt ~input ~weights ~bias ~stride:c.c_stride
+    ~pad:c.c_pad ~group:c.c_group
+
+let tiled_conv c (input, weights, bias) =
+  Specialize.conv c.c_fmt ~stride:c.c_stride ~pad:c.c_pad ~group:c.c_group
+    ~input ~weights ~bias
+
 let prop_conv_matches_oracle =
-  QCheck.Test.make ~name:"blocked conv = Quantized.qconv2d bitwise" ~count:300
+  QCheck.Test.make ~name:"tiled conv = Quantized.qconv2d bitwise" ~count:300
     (QCheck.make ~print:print_conv_case conv_case_gen)
     (fun c ->
-      let input, weights, bias = conv_operands c in
-      let stride = c.c_stride and pad = c.c_pad and group = c.c_group in
-      let oracle () =
-        Quantized.qconv2d c.c_fmt ~input ~weights ~bias ~stride ~pad ~group
-      in
-      let fast () =
-        Specialize.conv c.c_fmt ~stride ~pad ~group ~input ~weights ~bias
-      in
-      let same (a : Quantized.qtensor) (b : Quantized.qtensor) =
-        Shape.equal a.Quantized.qshape b.Quantized.qshape
-        && a.Quantized.qdata = b.Quantized.qdata
-      in
-      let wide = oracle () in
-      match (fast (), Pool.with_sequential (fun () -> (fast (), oracle ()))) with
-      | Some f, (Some f1, narrow) -> same wide f && same wide f1 && same wide narrow
+      let ops = conv_operands c in
+      let wide = oracle_conv c ops in
+      let narrow () = (tiled_conv c ops, oracle_conv c ops) in
+      match (tiled_conv c ops, Pool.with_sequential narrow) with
+      | Some f, (Some f1, narrow) ->
+          same_qtensor wide f && same_qtensor wide f1 && same_qtensor wide narrow
       | None, _ | _, (None, _) ->
           QCheck.Test.fail_reportf "shape guard rejected a well-formed conv")
+
+(* Named edge shapes, run back to back on one domain from the largest
+   scratch footprint down, so a call that read a word an earlier, larger
+   call left behind in the per-domain patch or weight buffer would differ
+   from the oracle. *)
+let test_conv_edge_shapes () =
+  let case ?(group = 1) ?(stride = 1) ?(pad = 0) ?(fmt = Fixed.q16_8) ~cin_g
+      ~cout_g ~k ~h ~w seed =
+    { c_fmt = fmt; c_group = group; c_cin_g = cin_g; c_cout_g = cout_g; c_k = k;
+      c_stride = stride; c_pad = pad; c_h = h; c_w = w; c_bias = true;
+      c_extreme = false; c_seed = seed }
+  in
+  let kk c = c.c_cin_g * c.c_k * c.c_k in
+  let tile_px c = Int.max 2 ((Specialize.tile_words / kk c) land lnot 1) in
+  let plane c =
+    let out n = ((n + (2 * c.c_pad) - c.c_k) / c.c_stride) + 1 in
+    out c.c_h * out c.c_w
+  in
+  let wide_cin = (Specialize.tile_words / 2 / 9) + 1 in
+  let cases =
+    [
+      ( "field over half a tile, odd plane",
+        case ~pad:1 ~cin_g:wide_cin ~cout_g:7 ~k:3 ~h:3 ~w:5 1 );
+      ( "multi-tile plane, odd last tile",
+        case ~pad:1 ~cin_g:1 ~cout_g:5 ~k:3 ~h:101 ~w:103 2 );
+      ( "multi-tile plane, even",
+        case ~group:2 ~cin_g:1 ~cout_g:4 ~k:3 ~h:100 ~w:100 3 );
+      ( "cout_g mod 4 = 2",
+        case ~group:2 ~pad:2 ~cin_g:3 ~cout_g:6 ~k:5 ~h:9 ~w:8 4 );
+      ("k = 1", case ~cin_g:3 ~cout_g:4 ~k:1 ~h:9 ~w:7 5);
+      ( "cout_g mod 4 = 1, strided",
+        case ~stride:3 ~pad:1 ~cin_g:2 ~cout_g:5 ~k:4 ~h:10 ~w:11 6 );
+      ( "cout_g mod 4 = 3, Q8.4",
+        case ~fmt:Fixed.q8_4 ~cin_g:2 ~cout_g:3 ~k:2 ~h:5 ~w:4 7 );
+      ("single output pixel", case ~cin_g:1 ~cout_g:1 ~k:3 ~h:3 ~w:3 8);
+    ]
+  in
+  let covered what p =
+    Alcotest.(check bool) ("cases include " ^ what) true
+      (List.exists (fun (_, c) -> p c) cases)
+  in
+  covered "a plane over one tile with an odd last tile" (fun c ->
+      plane c > tile_px c && plane c mod tile_px c land 1 = 1);
+  covered "a two-pixel tile" (fun c -> kk c > Specialize.tile_words / 2);
+  covered "an odd two-pixel plane" (fun c ->
+      kk c > Specialize.tile_words / 2 && plane c land 1 = 1);
+  List.iter
+    (fun m ->
+      covered (Printf.sprintf "cout_g mod 4 = %d" m) (fun c -> c.c_cout_g mod 4 = m))
+    [ 0; 1; 2; 3 ];
+  covered "k = 1" (fun c -> c.c_k = 1);
+  List.iter
+    (fun (name, c) ->
+      let ops = conv_operands c in
+      match tiled_conv c ops with
+      | Some out ->
+          Alcotest.(check bool) (name ^ ": equals Quantized.qconv2d") true
+            (same_qtensor out (oracle_conv c ops))
+      | None -> Alcotest.failf "%s: shape guard rejected a well-formed conv" name)
+    cases
+
+(* --- integer ReLU and Sign against the float formula --------------------- *)
+
+(* Every word of Q8.4 and Q16.8, and for Q32.16 random in-format words plus
+   out-of-format ints around 2^52, 2^62 and the int range's ends: the
+   integer maps equal requantising the float activation under both the
+   exact evaluator and a design's LUT evaluator. *)
+let test_integer_relu_sign () =
+  let lut_eval =
+    Specialize.lut_eval (Specialize.of_design (design_of Zoo.mnist_prototxt))
+  in
+  let words fmt =
+    let lo = Fixed.min_value fmt and hi = Fixed.max_value fmt in
+    if hi - lo < 1 lsl 17 then Array.init (hi - lo + 1) (fun i -> lo + i)
+    else begin
+      let rng = Db_util.Rng.create 41 in
+      let edges =
+        List.concat_map
+          (fun v -> [ v - 3; v - 1; v; v + 1; v + 3; -v - 3; -v; -v + 3 ])
+          [ 0; hi; 1 lsl 31; 1 lsl 52; 1 lsl 53; 1 lsl 61; 1 lsl 62 - 256 ]
+      in
+      Array.of_list
+        ([ min_int; min_int + 1; max_int; max_int - 1 ]
+        @ edges
+        @ List.init 20_000 (fun _ -> lo + Db_util.Rng.int rng (hi - lo + 1)))
+    end
+  in
+  List.iter
+    (fun fmt ->
+      let data = words fmt in
+      let q = { Quantized.qshape = Shape.vector (Array.length data); qdata = data } in
+      List.iter
+        (fun (act, name, map) ->
+          List.iter
+            (fun (ename, (eval : Quantized.function_eval)) ->
+              let f = eval.Quantized.eval_activation act in
+              let expected =
+                Array.map
+                  (fun v -> Fixed.of_float fmt (f (Fixed.to_float fmt v)))
+                  q.Quantized.qdata
+              in
+              let got = (map fmt q).Quantized.qdata in
+              Array.iteri
+                (fun i v ->
+                  if got.(i) <> expected.(i) then
+                    Alcotest.failf "%s %s (%s) of %d: integer %d, float formula %d"
+                      name
+                      (Format.asprintf "%a" Fixed.pp_format fmt)
+                      ename v got.(i) expected.(i))
+                q.Quantized.qdata)
+            [ ("exact", Quantized.exact_eval); ("lut", lut_eval) ])
+        [ (Layer.Relu, "relu", Quantized.qrelu);
+          (Layer.Sign, "sign", Quantized.qsign) ])
+    Fixed.[ q8_4; q16_8; q32_16 ]
+
+(* --- parallel bind -------------------------------------------------------- *)
+
+(* [bind] fills its tensors in [bind_chunk]-word chunks across the pool; a
+   sequential bind, a 4-wide one and the per-tensor oracle must agree on
+   every node.  NIN's conv2 weights (256x96x5x5) span several chunks and
+   end in a partial one. *)
+let test_bind_pool_width () =
+  let design = design_of Zoo.nin_prototxt in
+  let net = design.Db_core.Design.network in
+  let params, _ = inputs_for ~seed:29 design in
+  let spec = Specialize.of_design design in
+  let chunk = Specialize.bind_chunk in
+  Alcotest.(check bool)
+    "a tensor spans several chunks and ends in a partial one" true
+    (List.exists
+       (fun node ->
+         (not (Layer.is_input node.Network.layer))
+         && List.exists
+              (fun t -> Tensor.numel t > chunk && Tensor.numel t mod chunk <> 0)
+              (Params.get params node.Network.node_name))
+       net.Network.nodes);
+  let wide = Specialize.bind spec params in
+  let narrow = Pool.with_sequential (fun () -> Specialize.bind spec params) in
+  List.iter
+    (fun node ->
+      let name = node.Network.node_name in
+      let w = Specialize.node_qparams wide ~node:name in
+      Alcotest.(check bool) (name ^ ": width 4 = sequential") true
+        (List.equal same_qtensor w (Specialize.node_qparams narrow ~node:name));
+      if not (Layer.is_input node.Network.layer) then
+        Alcotest.(check bool) (name ^ ": = Quantized.quantize") true
+          (List.equal same_qtensor w
+             (List.map
+                (Quantized.quantize (Specialize.qformat spec))
+                (Params.get params name))))
+    net.Network.nodes
 
 let suite =
   [
@@ -306,5 +488,9 @@ let suite =
           Alcotest.test_case "campaign engines agree" `Quick
             test_campaign_engines_agree;
           QCheck_alcotest.to_alcotest prop_conv_matches_oracle;
+          Alcotest.test_case "tiled conv edge shapes" `Quick test_conv_edge_shapes;
+          Alcotest.test_case "integer relu/sign = float formula" `Quick
+            test_integer_relu_sign;
+          Alcotest.test_case "bind = sequential bind" `Quick test_bind_pool_width;
         ] );
   ]
